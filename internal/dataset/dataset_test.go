@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"testing"
 
 	"categorytree/internal/sim"
@@ -98,5 +99,36 @@ func TestPostMergeCountsRoughlyMatchTargets(t *testing.T) {
 	raw := b.Spec.RawQueries
 	if n < raw/5 || n > raw {
 		t.Fatalf("final %d queries from %d raw; expected between %d and %d", n, raw, raw/5, raw)
+	}
+}
+
+// TestGenerateWritesIdenticalJSON: Generate is a pure function of its
+// arguments down to the bytes of the instance it writes, so two calls in
+// one process, which iterate their maps in different orders, agree byte for
+// byte. Dataset C at a tenth of its size has relevance ties at the search
+// step's result cap, which float sums in map order would flip, moving
+// items between sets.
+func TestGenerateWritesIdenticalJSON(t *testing.T) {
+	spec := C.Scale(0.1)
+	if testing.Short() {
+		spec = C.Scale(0.02)
+	}
+	var first []byte
+	for run := 0; run < 2; run++ {
+		b, err := Generate(spec, sim.PerfectRecall, 0.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := b.Instance.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("run %d wrote a different instance (%d bytes vs %d)", run, buf.Len(), len(first))
+		}
 	}
 }

@@ -42,6 +42,32 @@ func BenchmarkSolveSparse2000(b *testing.B) {
 	}
 }
 
+// prShapedGraph mimics the conflict hypergraph a Perfect-Recall build on
+// dataset C leaves for the exact search after kernelization: one component
+// of ~300 vertices, ~900 2-edges and ~6k triangles, dense enough that the
+// search exhausts any practical node budget.
+func prShapedGraph(rng *xrand.RNG) *Hypergraph {
+	const n = 300
+	return shapedHypergraph(rng, n, 900, 6000, randomWeights(rng, n))
+}
+
+// BenchmarkSolveExactTriangleDense times the exact search on a pr-shaped
+// component under a budget it exhausts, so every iteration expands the
+// same number of nodes and the figure is the per-node cost.
+func BenchmarkSolveExactTriangleDense(b *testing.B) {
+	g := prShapedGraph(xrand.New(303))
+	warm := localSearch(g, solveGreedy(g), 20)
+	const budget = 20_000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, optimal, nodes := solveExactN(g, budget, warm, nil)
+		if optimal || nodes != budget+1 {
+			b.Fatalf("optimal=%v nodes=%d, want the budget exhausted", optimal, nodes)
+		}
+	}
+}
+
 func BenchmarkGreedy2000(b *testing.B) {
 	g := sparseBenchGraph(2000, 1500)
 	b.ReportAllocs()

@@ -28,12 +28,30 @@ import (
 // greedy clique cover over the 2-edges of the free vertices: at most one
 // vertex per clique can join the solution, so the bound adds each clique's
 // maximum free weight.
+//
+// Per-node work follows what a branch changed: per-vertex counters and a
+// list of the free vertices, kept in step with the trail, replace the
+// rescans of every vertex's adjacency and triangle lists that branch
+// selection, the bound and the reductions would otherwise make at every
+// node (DESIGN §3.4).
 type exactSolver struct {
 	g       *Hypergraph
 	weights []float64 // mutable copy; folds reduce entries
 	status  []int8    // free / included / excluded / folded
 	triInc  []int8    // included vertices per triangle
 	triDed  []bool    // triangle has an excluded vertex (satisfied)
+
+	// freeDeg[v] counts v's free 2-neighbors: setStatus lowers it on every
+	// neighbor of a vertex leaving free, undo raises it back.
+	freeDeg []int32
+	// liveTri[v] counts v's live triangles (no excluded vertex): exclude
+	// lowers it on all three vertices of a triangle it kills, undo raises it
+	// back.
+	liveTri []int32
+	// next and prev link the free vertices in ascending order through the
+	// sentinel n. setStatus unlinks a vertex leaving free and undo relinks
+	// it; the trail's LIFO order makes each relink exact (dancing links).
+	next, prev []int32
 
 	trail           []change
 	statusTrailVals []int8    // previous status per kind-0 entry
@@ -54,8 +72,12 @@ type exactSolver struct {
 	// exhausted budget.
 	canceled func() bool
 
-	// scratch reused by the bound computation
-	cliqueOf []int32
+	// scratch reused by the bound computation: inClique marks the vertices
+	// some clique of the current cover already holds; hit[u] counts the
+	// members of the growing clique adjacent to u (valid for the seed's
+	// neighbors only, which the seed resets).
+	inClique []bool
+	hit      []int32
 }
 
 type change struct {
@@ -98,9 +120,22 @@ func solveExactN(g *Hypergraph, budget int64, incumbent []int, done <-chan struc
 		status:   make([]int8, g.n),
 		triInc:   make([]int8, len(g.tris)),
 		triDed:   make([]bool, len(g.tris)),
+		freeDeg:  make([]int32, g.n),
+		liveTri:  make([]int32, g.n),
 		budget:   budget,
 		canceled: obs.CancelEveryChan(done, cancelCheckStride),
-		cliqueOf: make([]int32, g.n),
+		inClique: make([]bool, g.n),
+		hit:      make([]int32, g.n),
+	}
+	s.next = make([]int32, g.n+1)
+	s.prev = make([]int32, g.n+1)
+	for v := 0; v <= g.n; v++ {
+		s.next[v] = int32((v + 1) % (g.n + 1))
+		s.prev[(v+1)%(g.n+1)] = int32(v)
+	}
+	for v := range s.freeDeg {
+		s.freeDeg[v] = int32(len(g.adj[v]))
+		s.liveTri[v] = int32(len(g.triOf[v]))
 	}
 	if incumbent != nil && g.IsIndependent(incumbent) {
 		s.best = append([]int(nil), incumbent...)
@@ -193,34 +228,43 @@ func (s *exactSolver) resolveSolution() []int {
 }
 
 // reduce applies neighborhood removal and degree-1 folding until fixpoint.
-// It returns false on contradiction (defensive; cannot occur here).
+// It returns false on contradiction (defensive; cannot occur here). The
+// sweep runs in ascending vertex order and sums neighbor weights in
+// adjacency order, so the reductions and their float sums are the same on
+// every replay of a node.
+//
+// The sweep walks the free list. A reduction unlinks v (and maybe later
+// vertices) mid-walk, but an unlinked vertex keeps the successor it had
+// when it left, and nothing is relinked during a sweep, so following next
+// from it still reaches every vertex that is free when the walk gets there.
+//
+//oct:hotpath runs at every search node; must not allocate
 func (s *exactSolver) reduce() bool {
+	end := int32(s.g.n)
 	for changed := true; changed; {
 		changed = false
-		for v := 0; v < s.g.n; v++ {
-			if s.status[v] != free || s.hasLiveTriangle(int32(v)) {
+		for v := s.next[end]; v != end; v = s.next[v] {
+			if s.status[v] != free || s.liveTri[v] > 0 {
 				continue
 			}
 			sum := 0.0
-			freeDeg := 0
 			var only int32 = -1
 			for _, u := range s.g.adj[v] {
 				if s.status[u] == free {
 					sum += s.weights[u]
-					freeDeg++
 					only = u
 				}
 			}
 			if s.weights[v] >= sum {
-				if !s.include(int32(v)) {
+				if !s.include(v) {
 					return false
 				}
 				changed = true
 				continue
 			}
-			if freeDeg == 1 {
+			if s.freeDeg[v] == 1 {
 				// Fold v into its single live neighbor.
-				s.fold(int32(v), only)
+				s.fold(v, only)
 				changed = true
 			}
 		}
@@ -228,46 +272,40 @@ func (s *exactSolver) reduce() bool {
 	return true
 }
 
-func (s *exactSolver) hasLiveTriangle(v int32) bool {
-	for _, ti := range s.g.triOf[v] {
-		if !s.triDed[ti] {
-			return true
-		}
-	}
-	return false
-}
-
-// pickBranch returns the free vertex with the most live constraints, or -1.
+// pickBranch returns the free vertex with the most live constraints (free
+// 2-neighbors plus live triangles), or -1. Ties go to the first maximum in
+// ascending vertex order.
+//
+//oct:hotpath runs at every search node; must not allocate
 func (s *exactSolver) pickBranch() int {
 	best, bestKey := -1, int64(-1)
-	for v := 0; v < s.g.n; v++ {
-		if s.status[v] != free {
-			continue
-		}
-		deg := int64(0)
-		for _, u := range s.g.adj[v] {
-			if s.status[u] == free {
-				deg++
-			}
-		}
-		for _, ti := range s.g.triOf[v] {
-			if !s.triDed[ti] {
-				deg++
-			}
-		}
+	end := int32(s.g.n)
+	for v := s.next[end]; v != end; v = s.next[v] {
+		deg := int64(s.freeDeg[v]) + int64(s.liveTri[v])
 		// Prefer high degree; break ties toward high weight to find strong
 		// incumbents early.
 		key := deg*1_000_000 + int64(s.weights[v]*1000)
 		if key > bestKey {
-			best, bestKey = v, key
+			best, bestKey = int(v), key
 		}
 	}
 	return best
 }
 
+// setStatus records v's status change on the trail and keeps its
+// neighbors' freeDeg and the free list in step.
+//
+//oct:hotpath runs per decided vertex; must not allocate
 func (s *exactSolver) setStatus(v int32, st int8) {
 	s.trail = append(s.trail, change{kind: 0, idx: v})
 	s.statusTrailVals = append(s.statusTrailVals, s.status[v])
+	if s.status[v] == free && st != free {
+		for _, u := range s.g.adj[v] {
+			s.freeDeg[u]--
+		}
+		s.next[s.prev[v]] = s.next[v]
+		s.prev[s.next[v]] = s.prev[v]
+	}
 	s.status[v] = st
 }
 
@@ -287,6 +325,8 @@ func (s *exactSolver) fold(v, u int32) {
 // false if a contradiction arises (an already-included 2-neighbor or a
 // completed triangle), which the propagation order prevents but is handled
 // defensively.
+//
+//oct:hotpath runs per branch and per reduction; must not allocate
 func (s *exactSolver) include(v int32) bool {
 	if s.status[v] != free {
 		return s.status[v] == included
@@ -323,6 +363,10 @@ func (s *exactSolver) include(v int32) bool {
 	return true
 }
 
+// exclude takes v out of the solution; every live triangle through v dies
+// (it can no longer be completed).
+//
+//oct:hotpath runs per branch and per propagated exclusion; must not allocate
 func (s *exactSolver) exclude(v int32) {
 	if s.status[v] != free {
 		return
@@ -332,10 +376,17 @@ func (s *exactSolver) exclude(v int32) {
 		if !s.triDed[ti] {
 			s.trail = append(s.trail, change{kind: 2, idx: ti})
 			s.triDed[ti] = true
+			for _, w := range s.g.tris[ti] {
+				s.liveTri[w]--
+			}
 		}
 	}
 }
 
+// undo pops the trail back to mark, reversing each change (counters
+// included) newest first.
+//
+//oct:hotpath runs at every search node; must not allocate
 func (s *exactSolver) undo(mark int) {
 	for len(s.trail) > mark {
 		ch := s.trail[len(s.trail)-1]
@@ -344,17 +395,28 @@ func (s *exactSolver) undo(mark int) {
 		case 0:
 			prev := s.statusTrailVals[len(s.statusTrailVals)-1]
 			s.statusTrailVals = s.statusTrailVals[:len(s.statusTrailVals)-1]
-			switch s.status[ch.idx] {
+			cur := s.status[ch.idx]
+			switch cur {
 			case included:
 				s.curW -= s.weights[ch.idx]
 			case folded:
 				s.curW -= s.weights[ch.idx]
+			}
+			if prev == free && cur != free {
+				for _, u := range s.g.adj[ch.idx] {
+					s.freeDeg[u]++
+				}
+				s.next[s.prev[ch.idx]] = ch.idx
+				s.prev[s.next[ch.idx]] = ch.idx
 			}
 			s.status[ch.idx] = prev
 		case 1:
 			s.triInc[ch.idx]--
 		case 2:
 			s.triDed[ch.idx] = false
+			for _, w := range s.g.tris[ch.idx] {
+				s.liveTri[w]++
+			}
 		case 3:
 			prev := s.weightTrailVals[len(s.weightTrailVals)-1]
 			s.weightTrailVals = s.weightTrailVals[:len(s.weightTrailVals)-1]
@@ -366,39 +428,38 @@ func (s *exactSolver) undo(mark int) {
 }
 
 // upperBound computes a greedy clique-cover bound on the total weight still
-// attainable from free vertices.
+// attainable from free vertices. Cliques are seeded in ascending vertex
+// order and grown along the seed's adjacency list; a candidate joins when
+// its hit count shows it adjacent to every member so far.
+//
+//oct:hotpath runs at every search node; must not allocate
 func (s *exactSolver) upperBound() float64 {
-	const unassigned = int32(-1)
-	for v := range s.cliqueOf {
-		s.cliqueOf[v] = unassigned
-	}
+	clear(s.inClique)
 	bound := 0.0
-	var cliqueMax float64
-	for v := 0; v < s.g.n; v++ {
-		if s.status[v] != free || s.cliqueOf[v] != unassigned {
+	end := int32(s.g.n)
+	for v := s.next[end]; v != end; v = s.next[v] {
+		if s.inClique[v] {
 			continue
 		}
 		// Grow a maximal clique seeded at v among free unassigned vertices.
-		s.cliqueOf[v] = int32(v)
-		cliqueMax = s.weights[v]
-		cliqueMembers := []int32{int32(v)}
-		for _, u := range s.g.adj[v] {
-			if s.status[u] != free || s.cliqueOf[u] != unassigned {
+		s.inClique[v] = true
+		cliqueMax := s.weights[v]
+		adjV := s.g.adj[v]
+		for _, u := range adjV {
+			s.hit[u] = 1
+		}
+		members := int32(1)
+		for _, u := range adjV {
+			if s.status[u] != free || s.inClique[u] || s.hit[u] != members {
 				continue
 			}
-			inClique := true
-			for _, m := range cliqueMembers {
-				if m != int32(v) && !s.g.HasEdge(int(u), int(m)) {
-					inClique = false
-					break
-				}
+			s.inClique[u] = true
+			members++
+			for _, x := range s.g.adj[u] {
+				s.hit[x]++
 			}
-			if inClique {
-				s.cliqueOf[u] = int32(v)
-				cliqueMembers = append(cliqueMembers, u)
-				if w := s.weights[u]; w > cliqueMax {
-					cliqueMax = w
-				}
+			if w := s.weights[u]; w > cliqueMax {
+				cliqueMax = w
 			}
 		}
 		bound += cliqueMax

@@ -21,6 +21,7 @@ package mis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -197,41 +198,78 @@ func (g *Hypergraph) Components() [][]int {
 	return comps
 }
 
-// Induced builds the subhypergraph induced by the given vertices, returning
-// it along with the mapping from new vertex index to original vertex.
-// 3-edges are kept only when all three vertices are present.
+// Induced builds the subhypergraph induced by the given distinct vertices,
+// returning it along with the mapping from new vertex index to original
+// vertex. 3-edges are kept only when all three vertices are present, and
+// are numbered in the order a scan of vertices first meets them.
 func (g *Hypergraph) Induced(vertices []int) (*Hypergraph, []int) {
-	remap := make(map[int]int, len(vertices))
+	return g.induced(vertices, make([]int32, g.n))
+}
+
+// induced is Induced over caller-owned scratch: pos holds one zero per
+// vertex of g and is zeroed again on return, so a caller cutting many
+// subgraphs out of one graph allocates it once. It runs in time linear in
+// the given vertices' adjacency and triangle lists.
+func (g *Hypergraph) induced(vertices []int, pos []int32) (*Hypergraph, []int) {
 	orig := make([]int, len(vertices))
 	weights := make([]float64, len(vertices))
+	ascending := true
 	for i, v := range vertices {
-		remap[v] = i
+		pos[v] = int32(i) + 1 // 0 marks "not in the subgraph"
 		orig[i] = v
 		weights[i] = g.weights[v]
+		if i > 0 && v < vertices[i-1] {
+			ascending = false
+		}
 	}
 	sub := NewHypergraph(len(vertices), weights)
-	for i, v := range vertices {
+
+	// 2-edges: each filtered list is sorted already when vertices ascend
+	// (pos is then monotone), and shares one backing array.
+	total := 0
+	for _, v := range vertices {
 		for _, u := range g.adj[v] {
-			if j, ok := remap[int(u)]; ok && j > i {
-				sub.AddEdge(i, j)
+			if pos[u] != 0 {
+				total++
 			}
 		}
 	}
-	seen := make(map[int32]bool)
-	for _, v := range vertices {
-		for _, ti := range g.triOf[v] {
-			if seen[ti] {
-				continue
-			}
-			seen[ti] = true
-			t := g.tris[ti]
-			i0, ok0 := remap[int(t[0])]
-			i1, ok1 := remap[int(t[1])]
-			i2, ok2 := remap[int(t[2])]
-			if ok0 && ok1 && ok2 {
-				sub.AddTriangle(i0, i1, i2)
+	buf := make([]int32, 0, total)
+	for i, v := range vertices {
+		start := len(buf)
+		for _, u := range g.adj[v] {
+			if j := pos[u]; j != 0 {
+				buf = append(buf, j-1)
 			}
 		}
+		if len(buf) > start {
+			sub.adj[i] = buf[start:len(buf):len(buf)]
+			if !ascending {
+				slices.Sort(sub.adj[i])
+			}
+		}
+	}
+
+	// 3-edges: a scan of vertices first meets a kept triangle at its member
+	// with the smallest position, so it is numbered there.
+	for i, v := range vertices {
+		for _, ti := range g.triOf[v] {
+			t := g.tris[ti]
+			p0, p1, p2 := pos[t[0]], pos[t[1]], pos[t[2]]
+			if p0 == 0 || p1 == 0 || p2 == 0 || min(p0, p1, p2) != int32(i)+1 {
+				continue
+			}
+			idx := int32(len(sub.tris))
+			st := sort3(p0-1, p1-1, p2-1)
+			sub.tris = append(sub.tris, st)
+			for _, x := range st {
+				sub.triOf[x] = append(sub.triOf[x], idx)
+			}
+		}
+	}
+
+	for _, v := range vertices {
+		pos[v] = 0
 	}
 	return sub, orig
 }

@@ -63,11 +63,15 @@ func (ix *Index) Add(doc int32, content string) {
 }
 
 // Build finalizes the index: computes IDF weights and document norms.
+// Norms accumulate in sorted token order: float addition is not
+// associative, and map order would make the last bits, and with them ties
+// at a relevance threshold or result cap, differ between two indexes over
+// the same documents.
 func (ix *Index) Build() {
 	ix.docLen = make([]float64, ix.numDocs)
-	for tok, ps := range ix.postings {
+	for _, tok := range sortedKeys(ix.postings) {
 		idf := ix.idf(tok)
-		for _, p := range ps {
+		for _, p := range ix.postings[tok] {
 			w := p.tf * idf
 			ix.docLen[p.doc] += w * w
 		}
@@ -91,7 +95,9 @@ func (ix *Index) NumDocs() int { return ix.numDocs }
 
 // Search scores documents against the query by TF-IDF cosine similarity,
 // normalizes scores so the best hit gets 1, drops hits below minScore, and
-// returns at most limit hits (0 = unlimited), best first.
+// returns at most limit hits (0 = unlimited), best first. Scores sum over
+// the query's tokens in sorted order, so equal queries score bitwise
+// equally.
 func (ix *Index) Search(query string, minScore float64, limit int) []Hit {
 	if !ix.built {
 		panic("search: Search before Build")
@@ -105,7 +111,8 @@ func (ix *Index) Search(query string, minScore float64, limit int) []Hit {
 	}
 	qNorm := 0.0
 	scores := make(map[int32]float64)
-	for tok, c := range qCounts {
+	for _, tok := range sortedKeys(qCounts) {
+		c := qCounts[tok]
 		idf := ix.idf(tok)
 		if idf == 0 {
 			continue
@@ -149,4 +156,14 @@ func (ix *Index) Search(query string, minScore float64, limit int) []Hit {
 		out = out[:limit]
 	}
 	return out
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -1,7 +1,12 @@
 package search
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
+
+	"categorytree/internal/xrand"
 )
 
 func buildIndex(docs []string) *Index {
@@ -86,6 +91,55 @@ func TestSearchDeterministicOrder(t *testing.T) {
 	// Equal scores tie-break by doc ID.
 	if a[0].Doc != 0 || a[1].Doc != 1 || a[2].Doc != 2 {
 		t.Fatalf("tie-break order wrong: %v", a)
+	}
+}
+
+// TestSearchBitwiseReproducible: two indexes over the same documents give
+// bitwise-equal scores, call after call. Documents and queries carry many
+// distinct tokens, so summing norms or scores in map order would move the
+// last bits between indexes and between calls.
+func TestSearchBitwiseReproducible(t *testing.T) {
+	rng := xrand.New(3)
+	vocab := make([]string, 300)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("tok%d", i)
+	}
+	words := func(n int) string {
+		w := make([]string, n)
+		for i := range w {
+			w[i] = vocab[rng.Intn(len(vocab))]
+		}
+		return strings.Join(w, " ")
+	}
+	docs := make([]string, 400)
+	for i := range docs {
+		docs[i] = words(10 + rng.Intn(40))
+	}
+	queries := make([]string, 30)
+	for i := range queries {
+		queries[i] = words(4 + rng.Intn(12))
+	}
+	a, b := buildIndex(docs), buildIndex(docs)
+	for i := range a.docLen {
+		if math.Float64bits(a.docLen[i]) != math.Float64bits(b.docLen[i]) {
+			t.Fatalf("doc %d: norms %v and %v differ between two builds", i, a.docLen[i], b.docLen[i])
+		}
+	}
+	for _, q := range queries {
+		want := a.Search(q, 0, 0)
+		for rep := 0; rep < 5; rep++ {
+			for _, ix := range []*Index{a, b} {
+				got := ix.Search(q, 0, 0)
+				if len(got) != len(want) {
+					t.Fatalf("query %q: %d hits, then %d", q, len(want), len(got))
+				}
+				for i := range got {
+					if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+						t.Fatalf("query %q hit %d: %+v, then %+v", q, i, want[i], got[i])
+					}
+				}
+			}
+		}
 	}
 }
 
