@@ -19,6 +19,7 @@ import (
 	"container/heap"
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"categorytree/internal/intset"
@@ -30,6 +31,14 @@ import (
 )
 
 // Assigner carries the state of one assignment run over a tree skeleton.
+//
+// Run defers its category writes. A placement appends the item to a
+// pending list per category instead of rewriting the item set of every
+// ancestor up to the root, and Run writes each touched category once, with
+// one union, on every way out. Category item sets are therefore stale
+// inside Run; the Assigner answers "does category n hold item i?" from
+// usedOn instead (see holds), which New's union-invariant precondition
+// makes exact.
 type Assigner struct {
 	inst *oct.Instance
 	cfg  oct.Config
@@ -40,71 +49,116 @@ type Assigner struct {
 	// conflict-free S; CCT passes all of Q).
 	targets []oct.SetID
 
-	// setsOf maps an item to the target sets containing it.
-	setsOf map[intset.Item][]oct.SetID
+	// setsOf[it] lists the target sets containing item it, in target
+	// order. Like usedOn and capacity it is indexed by item, dense below
+	// the universe size.
+	setsOf [][]oct.SetID
 	// usedOn tracks the most-specific categories an item was assigned to
 	// (one per branch used).
-	usedOn map[intset.Item][]*tree.Node
+	usedOn [][]*tree.Node
 	// remaining branch capacity per item.
-	capacity map[intset.Item]int
+	capacity []int
 
 	// interSize[q] = |q ∩ C(q)| and catSize[q] = |C(q)| caches keeping gap
-	// computations O(1).
-	interSize map[oct.SetID]int
-	catSize   map[oct.SetID]int
+	// computations O(1). Unlike the item sets they are kept current.
+	interSize []int
+	catSize   []int
 	// setAt[nodeID] lists target sets whose dedicated category is that node.
-	setAt map[int][]oct.SetID
+	setAt [][]oct.SetID
+
+	// pre and end number the skeleton in preorder, by node ID: m lies in
+	// n's subtree iff pre[n] ≤ pre[m] < end[n]. Algorithm 2 never reshapes
+	// the tree, so the numbering holds for the Assigner's lifetime.
+	pre, end []int32
+	// pending[nodeID] lists the items placed on that category and not yet
+	// written to it; touched lists the categories with a non-empty list.
+	pending [][]intset.Item
+	touched []*tree.Node
+
+	// gainMemo[q] caches gain(q) for the topKByBranchGain call whose
+	// generation gainAt[q] records (see cachedGain).
+	gen      uint64
+	gainAt   []uint64
+	gainMemo []float64
 }
 
 // New prepares an assignment over tree t, whose dedicated categories are
 // given by catOf. Current category contents (from CTCR's non-duplicate
 // phase) are accounted for: items already present in the tree have their
 // branch capacity reduced.
+//
+// Precondition: t satisfies the union invariant (every category contains
+// its children's items), as tree.AddItems maintains it and as an empty
+// skeleton trivially does. Under it, a category holds an item exactly when
+// it lies on the root path of one of the item's most-specific categories,
+// which is how Run answers membership while its writes are deferred. The
+// tree's shape must not change while the Assigner is in use, and inst must
+// be valid: the sets' and the tree's items lie below inst.Universe.
 func New(inst *oct.Instance, cfg oct.Config, t *tree.Tree, catOf map[oct.SetID]*tree.Node, targets []oct.SetID) *Assigner {
+	nodes := t.Categories() // preorder
+	ids := 0
+	for _, n := range nodes {
+		ids = max(ids, n.ID+1)
+	}
 	a := &Assigner{
 		inst:      inst,
 		cfg:       cfg,
 		t:         t,
 		catOf:     catOf,
 		targets:   targets,
-		setsOf:    make(map[intset.Item][]oct.SetID),
-		usedOn:    make(map[intset.Item][]*tree.Node),
-		capacity:  make(map[intset.Item]int),
-		interSize: make(map[oct.SetID]int),
-		catSize:   make(map[oct.SetID]int),
-		setAt:     make(map[int][]oct.SetID),
+		setsOf:    make([][]oct.SetID, inst.Universe),
+		usedOn:    make([][]*tree.Node, inst.Universe),
+		capacity:  make([]int, inst.Universe),
+		interSize: make([]int, inst.N()),
+		catSize:   make([]int, inst.N()),
+		setAt:     make([][]oct.SetID, ids),
+		pre:       make([]int32, ids),
+		end:       make([]int32, ids),
+		pending:   make([][]intset.Item, ids),
+		gainAt:    make([]uint64, inst.N()),
+		gainMemo:  make([]float64, inst.N()),
+	}
+	// Backwards over the preorder, so a node's last child (whose subtree
+	// ends where the node's does) is numbered first.
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := nodes[i]
+		a.pre[n.ID] = int32(i)
+		if kids := n.Children(); len(kids) > 0 {
+			a.end[n.ID] = a.end[kids[len(kids)-1].ID]
+		} else {
+			a.end[n.ID] = int32(i + 1)
+		}
+	}
+	for it := range a.capacity {
+		a.capacity[it] = cfg.Bound(intset.Item(it))
 	}
 	for _, q := range targets {
 		for _, it := range inst.Sets[q].Items.Slice() {
 			a.setsOf[it] = append(a.setsOf[it], q)
-			if _, ok := a.capacity[it]; !ok {
-				a.capacity[it] = cfg.Bound(it)
-			}
 		}
 		c := catOf[q]
 		a.setAt[c.ID] = append(a.setAt[c.ID], q)
 		a.interSize[q] = inst.Sets[q].Items.IntersectSize(c.Items)
 		a.catSize[q] = c.Items.Len()
 	}
-	// Register pre-assigned items: each item's most-specific categories.
-	t.Walk(func(n *tree.Node) {
-		for _, it := range n.Items.Slice() {
-			mostSpecific := true
-			for _, ch := range n.Children() {
-				if ch.Items.Contains(it) {
-					mostSpecific = false
-					break
-				}
+	// Register pre-assigned items: each item's most-specific categories,
+	// the items of n that none of n's children hold. inChild[it] is 1 + the
+	// preorder position of the last node whose children hold it.
+	inChild := make([]int32, inst.Universe)
+	for i, n := range nodes {
+		stamp := int32(i + 1)
+		for _, ch := range n.Children() {
+			for _, it := range ch.Items.Slice() {
+				inChild[it] = stamp
 			}
-			if mostSpecific {
+		}
+		for _, it := range n.Items.Slice() {
+			if inChild[it] != stamp {
 				a.usedOn[it] = append(a.usedOn[it], n)
-				if _, ok := a.capacity[it]; !ok {
-					a.capacity[it] = cfg.Bound(it)
-				}
 				a.capacity[it]--
 			}
 		}
-	})
+	}
 	return a
 }
 
@@ -116,44 +170,7 @@ func (a *Assigner) Covered(q oct.SetID) bool {
 
 func (a *Assigner) scoreOf(q oct.SetID) float64 {
 	s := a.inst.Sets[q]
-	return scoreFromSizes(a.cfg.Variant, s.Items.Len(), a.catSize[q], a.interSize[q], a.cfg.Delta0(s))
-}
-
-// scoreFromSizes mirrors sim.Score on (|q|, |C|, |q∩C|) triples.
-func scoreFromSizes(v sim.Variant, qLen, cLen, inter int, delta float64) float64 {
-	if qLen == 0 || cLen == 0 {
-		return 0
-	}
-	switch v {
-	case sim.CutoffJaccard, sim.ThresholdJaccard:
-		jac := float64(inter) / float64(qLen+cLen-inter)
-		if jac < delta {
-			return 0
-		}
-		if v == sim.ThresholdJaccard {
-			return 1
-		}
-		return jac
-	case sim.CutoffF1, sim.ThresholdF1:
-		f := 2 * float64(inter) / float64(qLen+cLen)
-		if f < delta {
-			return 0
-		}
-		if v == sim.ThresholdF1 {
-			return 1
-		}
-		return f
-	case sim.PerfectRecall:
-		if inter == qLen && float64(inter)/float64(cLen) >= delta {
-			return 1
-		}
-		return 0
-	default: // Exact
-		if inter == qLen && inter == cLen {
-			return 1
-		}
-		return 0
-	}
+	return sim.ScoreCounts(a.cfg.Variant, s.Items.Len(), a.catSize[q], a.interSize[q], a.cfg.Delta0(s))
 }
 
 // cutoffScoreFromSizes evaluates the cutoff counterpart of the variant, the
@@ -166,7 +183,7 @@ func cutoffScoreFromSizes(v sim.Variant, qLen, cLen, inter int, delta float64) f
 	case sim.ThresholdF1:
 		v = sim.CutoffF1
 	}
-	return scoreFromSizes(v, qLen, cLen, inter, delta)
+	return sim.ScoreCounts(v, qLen, cLen, inter, delta)
 }
 
 // CoverGap returns the number of additional items from q that C(q) needs to
@@ -197,10 +214,7 @@ func (a *Assigner) CoverGap(q oct.SetID) (int, bool) {
 		return k, k <= missing
 	default: // Perfect-Recall / Exact: all missing items, precision checked.
 		k := missing
-		if float64(inter+k)/float64(cLen+k) < delta {
-			return k, false
-		}
-		return k, true
+		return k, sim.AtLeast(float64(inter+k)/float64(cLen+k), delta)
 	}
 }
 
@@ -255,32 +269,58 @@ func (a *Assigner) availableDups(q oct.SetID) int {
 	return n
 }
 
+// cachedGain is gain(q) memoized for the duration of one topKByBranchGain
+// call. Nothing is placed during the call, so no gain changes, yet
+// bestBranch and foreignDemand ask for the gain of every uncovered set
+// containing any candidate item, each a walk over the set's items.
+func (a *Assigner) cachedGain(q oct.SetID) float64 {
+	if a.gainAt[q] != a.gen {
+		a.gainAt[q], a.gainMemo[q] = a.gen, a.gain(q)
+	}
+	return a.gainMemo[q]
+}
+
 // usableFor reports whether item it can still be assigned to category c's
 // branch: capacity remains and no existing placement already lies on c's
 // root path or below c.
+//
+//oct:hotpath runs per item of every gain evaluation; must not allocate
 func (a *Assigner) usableFor(it intset.Item, c *tree.Node) bool {
 	if a.capacity[it] <= 0 {
 		return false
 	}
 	for _, n := range a.usedOn[it] {
-		if onSameBranch(n, c) {
+		if a.onSameBranch(n, c) {
 			return false
 		}
 	}
 	return true
 }
 
-func onSameBranch(x, y *tree.Node) bool {
-	return isAncestorOrSelf(x, y) || isAncestorOrSelf(y, x)
-}
-
-func isAncestorOrSelf(anc, n *tree.Node) bool {
-	for cur := n; cur != nil; cur = cur.Parent() {
-		if cur == anc {
+// holds reports whether category n holds item it, that is whether n lies
+// on the root path of a category the item was placed on. Under New's
+// union-invariant precondition this is n.Items.Contains(it) on the live
+// tree; inside Run, whose category writes are deferred, n.Items may not
+// have the item yet.
+//
+//oct:hotpath runs per ancestor of every placement and marginal-gain probe; must not allocate
+func (a *Assigner) holds(n *tree.Node, it intset.Item) bool {
+	for _, u := range a.usedOn[it] {
+		if a.within(n, u) {
 			return true
 		}
 	}
 	return false
+}
+
+func (a *Assigner) onSameBranch(x, y *tree.Node) bool {
+	return a.within(x, y) || a.within(y, x)
+}
+
+// within reports whether n lies in anc's subtree, anc included.
+func (a *Assigner) within(anc, n *tree.Node) bool {
+	p := a.pre[n.ID]
+	return a.pre[anc.ID] <= p && p < a.end[anc.ID]
 }
 
 // Run executes Algorithm 2: the greedy covering loop followed by the
@@ -297,6 +337,7 @@ func (a *Assigner) Run() {
 func (a *Assigner) RunContext(ctx context.Context) error {
 	sp, ctx := obs.StartSpanContext(ctx, "assign.run")
 	defer sp.End()
+	defer a.flush()
 	done := ctx.Done()
 	led := ledger.FromContext(ctx)
 	var iterations, requeues, covers, placements int64
@@ -369,6 +410,7 @@ type placement struct {
 // so cheap items are spent before contested ones (spending a universally
 // wanted item on a branch where any item would do wastes future covers).
 func (a *Assigner) topKByBranchGain(k int, qhat oct.SetID) []placement {
+	a.gen++ // a new generation invalidates every cachedGain entry
 	c := a.catOf[qhat]
 	var cands []placement
 	for _, it := range a.inst.Sets[qhat].Items.Slice() {
@@ -401,10 +443,10 @@ func (a *Assigner) foreignDemand(it intset.Item, dest *tree.Node, qhat oct.SetID
 		if q == qhat || a.Covered(q) {
 			continue
 		}
-		if onSameBranch(a.catOf[q], dest) {
+		if a.onSameBranch(a.catOf[q], dest) {
 			continue
 		}
-		if g := a.gain(q); g > 0 {
+		if g := a.cachedGain(q); g > 0 {
 			total += g
 		} else {
 			total += a.inst.Weight(q) / float64(a.inst.Sets[q].Items.Len())
@@ -431,7 +473,7 @@ func (a *Assigner) bestBranch(it intset.Item, c *tree.Node, qhat oct.SetID) (*tr
 			}
 			if a.inst.Sets[q].Items.Contains(it) {
 				if !a.Covered(q) {
-					if g := a.gain(q); g > 0 {
+					if g := a.cachedGain(q); g > 0 {
 						gainSum += g
 					} else {
 						gainSum += a.inst.Weight(q) / float64(a.inst.Sets[q].Items.Len())
@@ -455,16 +497,19 @@ func (a *Assigner) bestBranch(it intset.Item, c *tree.Node, qhat oct.SetID) (*tr
 	return bestDest, bestGain
 }
 
-// place assigns the item to dest's branch: adds it to dest and all
-// ancestors, updates capacity, usage, and the cached sizes of every target
-// set whose category gained the item.
+// place assigns the item to dest's branch: queues it for dest and every
+// ancestor not holding it yet (flush writes the queues), updates capacity,
+// usage, and the cached sizes of every target set whose category gained
+// the item.
 func (a *Assigner) place(it intset.Item, dest *tree.Node) {
-	single := intset.New(it)
 	for n := dest; n != nil; n = n.Parent() {
-		if n.Items.Contains(it) {
+		if a.holds(n, it) {
 			break // ancestors above already hold it
 		}
-		n.SetItems(n.Items.Union(single))
+		if len(a.pending[n.ID]) == 0 {
+			a.touched = append(a.touched, n)
+		}
+		a.pending[n.ID] = append(a.pending[n.ID], it)
 		for _, q := range a.setAt[n.ID] {
 			a.catSize[q]++
 			if a.inst.Sets[q].Items.Contains(it) {
@@ -474,6 +519,18 @@ func (a *Assigner) place(it intset.Item, dest *tree.Node) {
 	}
 	a.usedOn[it] = append(a.usedOn[it], dest)
 	a.capacity[it]--
+}
+
+// flush writes every touched category's pending items with one union, so
+// the tree's item sets are current again when Run returns.
+func (a *Assigner) flush() {
+	for _, n := range a.touched {
+		items := a.pending[n.ID]
+		slices.Sort(items)
+		n.SetItems(n.Items.Union(intset.FromSorted(items)))
+		a.pending[n.ID] = nil
+	}
+	a.touched = a.touched[:0]
 }
 
 // assignLeftovers spends remaining duplicates on the single assignments with
@@ -501,7 +558,7 @@ func (a *Assigner) assignLeftovers(ctx context.Context) {
 			continue
 		}
 		for _, q := range sets {
-			push(it, q)
+			push(intset.Item(it), q)
 		}
 	}
 	for h.Len() > 0 {
@@ -546,9 +603,9 @@ type moveHeap []move
 
 func (h moveHeap) Len() int { return len(h) }
 func (h moveHeap) Less(i, j int) bool {
-	// Strict total order: the heap is seeded from a map iteration, so
-	// equal-gain moves must not pop in push order — that would make the
-	// whole assignment (and every downstream tree) vary run to run.
+	// Strict total order: equal-gain moves must not pop in push order, or
+	// the whole assignment (and every downstream tree) would depend on the
+	// order the heap happens to be seeded in.
 	if h[i].gain > h[j].gain {
 		return true
 	}
@@ -572,10 +629,12 @@ func (h *moveHeap) Pop() interface{} {
 // marginalGain computes the change to the cutoff score from adding item it
 // to category c's branch, and whether the move is admissible (it must not
 // uncover any currently covered set).
+//
+//oct:hotpath runs per leftover move pushed or popped; must not allocate
 func (a *Assigner) marginalGain(it intset.Item, c *tree.Node) (float64, bool) {
 	total := 0.0
 	for n := c; n != nil; n = n.Parent() {
-		if n.Items.Contains(it) {
+		if a.holds(n, it) {
 			break
 		}
 		for _, q := range a.setAt[n.ID] {

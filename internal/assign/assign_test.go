@@ -1,6 +1,8 @@
 package assign
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"categorytree/internal/intset"
@@ -69,6 +71,66 @@ func TestCoverGapPerfectRecallInfeasible(t *testing.T) {
 	a := New(inst, cfg, tr, catOf, targets)
 	if _, ok := a.CoverGap(0); ok {
 		t.Fatal("CoverGap should report infeasible when precision cannot reach δ")
+	}
+}
+
+// driftedDelta is 0.1 + 0.2 evaluated in float64, 0.30000000000000004: the
+// threshold a δ sweep stepping by 0.1 from 0.1 lands on instead of 0.3.
+// Sets whose similarity is exactly 3/10 reach it under sim.Eps.
+func driftedDelta() float64 {
+	a, b := 0.1, 0.2
+	return a + b
+}
+
+func TestCoverGapPerfectRecallAtDriftedDelta(t *testing.T) {
+	inst := &oct.Instance{Universe: 10, Sets: []oct.InputSet{
+		{Items: intset.Range(0, 3), Weight: 1},
+	}}
+	cfg := oct.Config{Variant: sim.PerfectRecall, Delta: driftedDelta()}
+	tr, catOf, targets := skeleton(inst)
+	// C = {0, 3..9}: adding q's two missing items gives precision 3/10.
+	tr.AddItems(catOf[0], intset.New(0, 3, 4, 5, 6, 7, 8, 9))
+	a := New(inst, cfg, tr, catOf, targets)
+	if k, ok := a.CoverGap(0); k != 2 || !ok {
+		t.Fatalf("CoverGap = %d,%v; want 2,true (precision 3/10 reaches δ=%v)", k, ok, cfg.Delta)
+	}
+	a.Run()
+	if !a.Covered(0) {
+		t.Fatalf("q not covered after Run: C = %v", catOf[0].Items)
+	}
+}
+
+// TestCondenseKeepsCoverAtDriftedDelta: q = {0,1,2} inside a 10-item
+// category has Jaccard and precision exactly 3/10 (F1 needs 17 items:
+// 2·3/20), which sim.Score counts as reaching the drifted δ. Condensing
+// must keep that cover, so the finished tree scores it.
+func TestCondenseKeepsCoverAtDriftedDelta(t *testing.T) {
+	delta := driftedDelta()
+	for _, c := range []struct {
+		v    sim.Variant
+		size intset.Item
+	}{
+		{sim.PerfectRecall, 10},
+		{sim.ThresholdJaccard, 10},
+		{sim.CutoffJaccard, 10},
+		{sim.ThresholdF1, 17},
+		{sim.CutoffF1, 17},
+	} {
+		inst := &oct.Instance{Universe: 100, Sets: []oct.InputSet{
+			{Items: intset.Range(0, 3), Weight: 1},
+		}}
+		cfg := oct.Config{Variant: c.v, Delta: delta}
+		tr := tree.New(nil)
+		cat := tr.AddCategory(nil, nil, "cat")
+		tr.AddItems(cat, intset.Range(0, c.size))
+		if sim.Score(c.v, inst.Sets[0].Items, cat.Items, delta) <= 0 {
+			t.Fatalf("%v: sim.Score says the category does not cover q", c.v)
+		}
+		Condense(inst, cfg, tr)
+		AddMiscCategory(inst, tr)
+		if got := tr.Score(inst, cfg); got <= 0 {
+			t.Errorf("%v: tree scores %v; condensing dropped the cover at δ=%v", c.v, got, delta)
+		}
 	}
 }
 
@@ -164,6 +226,73 @@ func TestLeftoversNeverUncover(t *testing.T) {
 	// assignable. Verify no covered set was lost either way.
 	if !a.Covered(0) {
 		t.Fatal("the covered ancestor set must stay covered")
+	}
+	if err := tr.Validate(cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLeftoversStopAtHoldingAncestor: a leftover move's marginal gain
+// counts only the categories that gain the item. Here item 9 already sits
+// on B, so A holds it; moving its second copy to C raises q2's cutoff score
+// and leaves A unchanged. Counting A as gaining 9 would drop J(q0, A) from
+// 17/18 to 17/19 < 0.9 and reject the move as uncovering q0.
+func TestLeftoversStopAtHoldingAncestor(t *testing.T) {
+	q2 := intset.Range(20, 29).Union(intset.New(9))
+	inst := &oct.Instance{Universe: 29, Sets: []oct.InputSet{
+		{Items: intset.Range(0, 8).Union(intset.Range(20, 29)), Weight: 1},
+		{Items: intset.New(9), Weight: 1},
+		{Items: q2, Weight: 1},
+	}}
+	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.9, DefaultItemBound: 2}
+	tr := tree.New(nil)
+	A := tr.AddCategory(nil, nil, "A")
+	B := tr.AddCategory(A, nil, "B")
+	C := tr.AddCategory(A, nil, "C")
+	tr.AddItems(A, intset.Range(0, 8))
+	tr.AddItems(B, intset.New(9))
+	tr.AddItems(C, intset.Range(20, 29))
+	catOf := map[oct.SetID]*tree.Node{0: A, 1: B, 2: C}
+	a := New(inst, cfg, tr, catOf, []oct.SetID{0, 1, 2})
+	a.Run()
+	if !C.Items.Contains(9) {
+		t.Fatalf("item 9's second copy should reach C: C = %v", C.Items)
+	}
+	if !a.Covered(0) {
+		t.Fatal("q0 must stay covered")
+	}
+	if err := tr.Validate(cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCanceledRunWritesPendingPlacements: placements queue their category
+// writes, and a run canceled in its covering loop still writes them before
+// returning, leaving a tree that satisfies the union invariant.
+func TestCanceledRunWritesPendingPlacements(t *testing.T) {
+	inst := &oct.Instance{Universe: 4, Sets: []oct.InputSet{
+		{Items: intset.New(0, 1), Weight: 1},
+	}}
+	// At δ = 0.5 q stays coverable after the stray placement, so the
+	// covering loop has work and sees the cancellation.
+	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.5}
+	tr := tree.New(nil)
+	mid := tr.AddCategory(nil, nil, "mid")
+	leaf := tr.AddCategory(mid, nil, "leaf")
+	a := New(inst, cfg, tr, map[oct.SetID]*tree.Node{0: leaf}, []oct.SetID{0})
+	a.place(3, leaf)
+	if leaf.Items.Contains(3) {
+		t.Fatal("place should defer the write to Run's flush")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := a.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	}
+	for _, n := range []*tree.Node{leaf, mid, tr.Root()} {
+		if !n.Items.Equal(intset.New(3)) {
+			t.Fatalf("%s holds %v after a canceled run, want {3}", n.Label, n.Items)
+		}
 	}
 	if err := tr.Validate(cfg); err != nil {
 		t.Fatal(err)

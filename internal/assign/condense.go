@@ -2,6 +2,7 @@ package assign
 
 import (
 	"context"
+	"slices"
 
 	"categorytree/internal/intset"
 	"categorytree/internal/obs"
@@ -37,38 +38,35 @@ func CondenseContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, t 
 	// Pass 1: drop items appearing only in uncovered sets. The root is
 	// never a cover candidate: it will grow to the full universe when
 	// C_misc is added, so any cover it provides now is illusory.
-	ix := indexTree(t)
-	coveredSet := make([]bool, inst.N())
-	for i, s := range inst.Sets {
+	ix := indexTree(t, inst.Universe)
+	// inSets[it] is inAny for items of some set, inCovered for items of
+	// some covered set.
+	const inAny, inCovered = 1, 2
+	inSets := make([]uint8, inst.Universe)
+	for _, s := range inst.Sets {
+		mark := uint8(inAny)
 		if n, _ := ix.bestByPrecision(cfg, s); n != nil {
-			coveredSet[i] = true
+			mark = inCovered
 		}
-	}
-	inCovered := make(map[intset.Item]bool)
-	inAny := make(map[intset.Item]bool)
-	for i, s := range inst.Sets {
 		for _, it := range s.Items.Slice() {
-			inAny[it] = true
-			if coveredSet[i] {
-				inCovered[it] = true
-			}
+			inSets[it] = max(inSets[it], mark)
 		}
 	}
 	var stale []intset.Item
-	for it := range inAny {
-		if !inCovered[it] {
-			stale = append(stale, it)
+	for it, mark := range inSets {
+		if mark == inAny {
+			stale = append(stale, intset.Item(it))
 		}
 	}
 	if len(stale) > 0 {
-		rm := intset.New(stale...)
+		rm := intset.FromSorted(stale)
 		for _, ch := range t.Root().Children() {
 			t.RemoveItems(ch, rm)
 		}
 	}
 
 	// Pass 2: keep only covering categories (recomputed after removal).
-	ix = indexTree(t)
+	ix = indexTree(t, inst.Universe)
 	keep := make(map[int]bool)
 	for i, s := range inst.Sets {
 		node, sc := ix.bestByPrecision(cfg, s)
@@ -89,22 +87,41 @@ func CondenseContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, t 
 // categories). Without it, condensing large instances walks
 // |Q| × |categories| pairs and dominates whole-pipeline run time.
 type coverIndex struct {
-	nodes    []*tree.Node
-	postings map[intset.Item][]int32
+	nodes []*tree.Node
+	// postings[start[it]:start[it+1]] lists the categories holding item
+	// it, by ascending index into nodes; items are dense below the
+	// universe size.
+	start    []int32
+	postings []int32
+	// inter counts one set's intersection with each category it touches,
+	// listed in touched; both are reset after every query.
+	inter   []int32
+	touched []int32
 }
 
-func indexTree(t *tree.Tree) *coverIndex {
-	ix := &coverIndex{postings: make(map[intset.Item][]int32)}
+func indexTree(t *tree.Tree, universe int) *coverIndex {
+	ix := &coverIndex{start: make([]int32, universe+1)}
 	t.Walk(func(n *tree.Node) {
 		if n == t.Root() {
 			return // the root later absorbs the whole universe
 		}
-		idx := int32(len(ix.nodes))
 		ix.nodes = append(ix.nodes, n)
 		for _, it := range n.Items.Slice() {
-			ix.postings[it] = append(ix.postings[it], idx)
+			ix.start[it+1]++
 		}
 	})
+	for i := 1; i <= universe; i++ {
+		ix.start[i] += ix.start[i-1]
+	}
+	ix.postings = make([]int32, ix.start[universe])
+	next := slices.Clone(ix.start[:universe])
+	for idx, n := range ix.nodes {
+		for _, it := range n.Items.Slice() {
+			ix.postings[next[it]] = int32(idx)
+			next[it]++
+		}
+	}
+	ix.inter = make([]int32, len(ix.nodes))
 	return ix
 }
 
@@ -112,18 +129,26 @@ func indexTree(t *tree.Tree) *coverIndex {
 // precision ("if a set is covered by multiple categories, we retain the one
 // with the highest precision").
 func (ix *coverIndex) bestByPrecision(cfg oct.Config, s oct.InputSet) (*tree.Node, float64) {
-	inter := make(map[int32]int)
+	touched := ix.touched[:0]
 	for _, it := range s.Items.Slice() {
-		for _, idx := range ix.postings[it] {
-			inter[idx]++
+		for _, idx := range ix.postings[ix.start[it]:ix.start[it+1]] {
+			if ix.inter[idx] == 0 {
+				touched = append(touched, idx)
+			}
+			ix.inter[idx]++
 		}
 	}
+	ix.touched = touched
 	var best *tree.Node
 	bestPrec := -1.0
 	bestDepth := -1
 	bestScore := 0.0
 	delta := cfg.Delta0(s)
-	for idx, in := range inter {
+	// The comparison below is a strict total order (IDs are unique), so the
+	// winner does not depend on the order candidates are visited in.
+	for _, idx := range touched {
+		in := int(ix.inter[idx])
+		ix.inter[idx] = 0
 		n := ix.nodes[idx]
 		sc := cutoffScoreFromSizes(cfg.Variant, s.Items.Len(), n.Items.Len(), in, delta)
 		if sc <= 0 {

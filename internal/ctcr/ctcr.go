@@ -423,19 +423,23 @@ func addIntermediateCategories(inst *oct.Instance, t *tree.Tree, catOf map[oct.S
 		weightFor[catOf[q].ID] = inst.Sets[q].Weight
 	}
 
+	m := &siblingMerger{t: t, setFor: setFor, weightFor: weightFor,
+		owners: make([][]int32, inst.Universe)}
 	nodes := t.Categories()
 	for _, n := range nodes {
 		if t.Node(n.ID) != n {
 			continue // removed meanwhile (cannot happen here; defensive)
 		}
-		mergeIntersectingChildren(t, n, setFor, weightFor)
+		m.merge(n)
 	}
 }
 
 // pairEntry is a candidate sibling merge, scored by the shared fraction of
-// the smaller corresponding set.
+// the smaller corresponding set. pa and pb are a's and b's positions in the
+// merger's kids.
 type pairEntry struct {
 	a, b   *tree.Node
+	pa, pb int32
 	frac   float64
 	weight float64
 }
@@ -483,63 +487,105 @@ func (h *pairHeap) Pop() interface{} {
 	return x
 }
 
-// mergeIntersectingChildren repeatedly inserts intermediate parents over the
-// most-overlapping intersecting child pair of n. A max-heap of pair
-// fractions keeps each intersection computed exactly once over the node's
-// lifetime: merged children become inactive and their stale heap entries
-// are skipped on pop.
-func mergeIntersectingChildren(t *tree.Tree, n *tree.Node, setFor map[int]intset.Set, weightFor map[int]float64) {
-	h := &pairHeap{}
-	active := make(map[int]bool)
-	pushPairs := func(c *tree.Node) {
-		sc := setFor[c.ID]
-		if sc.Len() == 0 {
-			return
-		}
-		for id := range active {
-			if id == c.ID {
-				continue
-			}
-			other := t.Node(id)
-			so := setFor[id]
-			if so.Len() == 0 {
-				continue
-			}
-			inter := sc.IntersectSize(so)
-			if inter == 0 {
-				continue
-			}
-			smaller := sc.Len()
-			if so.Len() < smaller {
-				smaller = so.Len()
-			}
-			heap.Push(h, pairEntry{
-				a:      c,
-				b:      other,
-				frac:   float64(inter) / float64(smaller),
-				weight: weightFor[c.ID] + weightFor[id],
-			})
-		}
-	}
+// siblingMerger inserts intermediate parents over intersecting children,
+// one parent node at a time. It indexes the active children of the node
+// being merged by item, so a new child's intersections are counted from
+// the postings of its own items: it meets only the siblings it shares items
+// with, instead of merge-scanning every active sibling. The index is dense
+// over the universe and reused from node to node.
+type siblingMerger struct {
+	t         *tree.Tree
+	setFor    map[int]intset.Set
+	weightFor map[int]float64
+
+	// owners[it] lists the positions in kids of the active children whose
+	// corresponding set holds item it.
+	owners [][]int32
+	// kids are the children of the node being merged, original and
+	// intermediate, by position; active marks those not merged away.
+	kids   []*tree.Node
+	active []bool
+	// count[p] is the new child's intersection with kids[p], for the
+	// positions listed in touched.
+	count   []int32
+	touched []int32
+	h       pairHeap
+}
+
+// merge repeatedly inserts an intermediate parent over the most-overlapping
+// intersecting child pair of n. A max-heap of pair fractions keeps each
+// intersection computed exactly once over the node's lifetime: merged
+// children become inactive and their stale heap entries are skipped on pop.
+func (m *siblingMerger) merge(n *tree.Node) {
+	m.kids, m.active, m.count, m.h = m.kids[:0], m.active[:0], m.count[:0], m.h[:0]
 	for _, c := range n.Children() {
-		pushPairs(c)
-		active[c.ID] = true
+		m.add(c)
 	}
-	for len(n.Children()) > 2 && h.Len() > 0 {
-		top := heap.Pop(h).(pairEntry)
-		if !active[top.a.ID] || !active[top.b.ID] || top.frac <= 0 {
+	for len(n.Children()) > 2 && m.h.Len() > 0 {
+		top := heap.Pop(&m.h).(pairEntry)
+		if !m.active[top.pa] || !m.active[top.pb] || top.frac <= 0 {
 			continue
 		}
 		ci, cj := top.a, top.b
-		union := setFor[ci.ID].Union(setFor[cj.ID])
-		mid := t.AddCategory(n, ci.Items.Union(cj.Items), "")
-		setFor[mid.ID] = union
-		weightFor[mid.ID] = weightFor[ci.ID] + weightFor[cj.ID]
-		t.Reparent(ci, mid)
-		t.Reparent(cj, mid)
-		delete(active, ci.ID)
-		delete(active, cj.ID)
-		pushPairs(mid)
-		active[mid.ID] = true
+		union := m.setFor[ci.ID].Union(m.setFor[cj.ID])
+		mid := m.t.AddCategory(n, ci.Items.Union(cj.Items), "")
+		m.setFor[mid.ID] = union
+		m.weightFor[mid.ID] = m.weightFor[ci.ID] + m.weightFor[cj.ID]
+		m.t.Reparent(ci, mid)
+		m.t.Reparent(cj, mid)
+		m.active[top.pa], m.active[top.pb] = false, false
+		m.add(mid)
+	}
+	// Every posting left is an active child's: clearing the lists of the
+	// active children's items empties the index for the next node.
+	for p, c := range m.kids {
+		if m.active[p] {
+			for _, it := range m.setFor[c.ID].Slice() {
+				m.owners[it] = m.owners[it][:0]
+			}
+		}
+	}
+}
+
+// add makes c an active child: it pushes a candidate pair for every active
+// sibling c intersects, then indexes c's items. Postings of children merged
+// away are dropped on the way: an intermediate's set is the union of its
+// pair's, so its scan visits every list that held them.
+func (m *siblingMerger) add(c *tree.Node) {
+	pc := int32(len(m.kids))
+	m.kids = append(m.kids, c)
+	m.active = append(m.active, true)
+	m.count = append(m.count, 0)
+	sc := m.setFor[c.ID]
+	touched := m.touched[:0]
+	for _, it := range sc.Slice() {
+		live := m.owners[it][:0]
+		for _, p := range m.owners[it] {
+			if !m.active[p] {
+				continue
+			}
+			live = append(live, p)
+			if m.count[p] == 0 {
+				touched = append(touched, p)
+			}
+			m.count[p]++
+		}
+		m.owners[it] = append(live, pc)
+	}
+	m.touched = touched
+	for _, p := range touched {
+		inter := int(m.count[p])
+		m.count[p] = 0
+		other := m.kids[p]
+		so := m.setFor[other.ID]
+		smaller := min(sc.Len(), so.Len())
+		heap.Push(&m.h, pairEntry{
+			a:      c,
+			b:      other,
+			pa:     pc,
+			pb:     p,
+			frac:   float64(inter) / float64(smaller),
+			weight: m.weightFor[c.ID] + m.weightFor[other.ID],
+		})
 	}
 }

@@ -402,7 +402,7 @@ func (e *Engine) rankLess(a, b int32) bool {
 //
 //oct:hotpath
 func (e *Engine) related(a, b int32) bool {
-	return containsInt32(e.adj[a], b) || containsInt32(e.must[a], b)
+	return intset.Set(e.adj[a]).Contains(b) || intset.Set(e.must[a]).Contains(b)
 }
 
 func (e *Engine) insertTriple(t tri) {
@@ -428,21 +428,6 @@ func (e *Engine) removeTriplesOf(id int32) {
 		}
 	}
 	e.triOf[id] = nil
-}
-
-// containsInt32 is an open-coded binary search: sort.Search's closure
-// argument allocates, and the hot caller (related) is //oct:hotpath.
-func containsInt32(s []int32, v int32) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == v
 }
 
 func insertSortedInt32(s []int32, v int32) []int32 {

@@ -77,10 +77,20 @@ func (s Set) Len() int { return len(s) }
 // Empty reports whether s has no items.
 func (s Set) Empty() bool { return len(s) == 0 }
 
-// Contains reports whether v is a member of s.
+// Contains reports whether v is a member of s. The binary search is open
+// coded: sort.Search's closure argument counts as an allocation to the
+// hot-path analyzer, and Contains runs inside //oct:hotpath functions.
 func (s Set) Contains(v Item) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(s) && s[lo] == v
 }
 
 // Clone returns an independent copy of s.
