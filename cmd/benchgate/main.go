@@ -114,12 +114,28 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+(?:e[+-]?[0-
 
 // parseBench reads benchmark output into name → samples. The GOMAXPROCS
 // suffix (-8) is stripped so runs from machines with different core counts
-// still pair up.
+// still pair up. Every "pkg:" header opens a block (one go test run of one
+// package), and each benchmark keeps the samples of the block holding most
+// of them: the baseline's cold -benchtime=1x row is never pooled with the
+// -count=10 gate rows, which may run at N = 1 themselves.
 func parseBench(r io.Reader) (map[string]*samples, error) {
 	out := map[string]*samples{}
+	block := map[string]*samples{}
+	flush := func() {
+		for name, s := range block {
+			if prev := out[name]; prev == nil || len(s.sec) >= len(prev.sec) {
+				out[name] = s
+			}
+		}
+		block = map[string]*samples{}
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "pkg: ") {
+			flush()
+			continue
+		}
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
@@ -134,10 +150,10 @@ func parseBench(r io.Reader) (map[string]*samples, error) {
 				name = name[:i]
 			}
 		}
-		s := out[name]
+		s := block[name]
 		if s == nil {
 			s = &samples{}
-			out[name] = s
+			block[name] = s
 		}
 		s.sec = append(s.sec, v)
 		if m[3] != "" {
@@ -148,6 +164,7 @@ func parseBench(r io.Reader) (map[string]*samples, error) {
 			s.allocs = append(s.allocs, a)
 		}
 	}
+	flush()
 	return out, sc.Err()
 }
 

@@ -62,6 +62,33 @@ ok  	categorytree/internal/tree	2.1s
 // TestGateFailsOnSeededRegression is the acceptance check: a synthetic 2×
 // regression in one benchmark makes the gate fail, while the unmodified run
 // passes.
+func TestParseBenchKeepsEachBenchmarksLargestBlock(t *testing.T) {
+	m := parse(t, `pkg: categorytree/internal/serve
+BenchmarkCategorizeMiss 	       1	    222105 ns/op	   12960 B/op	     172 allocs/op
+ok  	categorytree/internal/serve	0.1s
+pkg: categorytree/internal/conflict
+BenchmarkAnalyzeExact 	       1	 138027157 ns/op	77518072 B/op	   20997 allocs/op
+ok  	categorytree/internal/conflict	0.2s
+pkg: categorytree/internal/conflict
+`+synthBenchAllocs("BenchmarkAnalyzeExact", 174e6, 21001, 3)+`ok  	categorytree/internal/conflict	2.0s
+pkg: categorytree/internal/serve
+`+synthBenchAllocs("BenchmarkCategorizeMiss", 5400, 32, 10)+`ok  	categorytree/internal/serve	1.0s
+`)
+	miss := m["BenchmarkCategorizeMiss"]
+	if len(miss.sec) != 10 || len(miss.allocs) != 10 {
+		t.Fatalf("CategorizeMiss kept %d/%d samples, want the gate block's 10", len(miss.sec), len(miss.allocs))
+	}
+	for i, a := range miss.allocs {
+		if a != 32 || miss.sec[i] > 6000 {
+			t.Fatalf("cold 1x row pooled with the gate rows: %v / %v", miss.sec, miss.allocs)
+		}
+	}
+	// Gate rows at N = 1 are still the larger block.
+	if exact := m["BenchmarkAnalyzeExact"]; len(exact.sec) != 3 || exact.allocs[0] != 21001 {
+		t.Fatalf("AnalyzeExact samples %v / %v, want the gate block's 3", exact.sec, exact.allocs)
+	}
+}
+
 func TestGateFailsOnSeededRegression(t *testing.T) {
 	baseline := synthBench("BenchmarkCategorize", 1000, 10) +
 		synthBench("BenchmarkNavigate", 500, 10) +

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"time"
@@ -88,14 +89,22 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// parseBuildSpec validates the request body into a runnable spec. Errors are
-// *httpError with the right client status.
+// maxBuildBody bounds the POST /build body: far above the ~1.1 MB of an
+// inline 20k-set instance, far below what would threaten the process.
+const maxBuildBody = 64 << 20
+
+// parseBuildSpec validates the request body (an empty one selects every
+// default) into a runnable spec. Errors are *httpError with the right client
+// status: 413 when the body's http.MaxBytesReader trips.
 func (s *server) parseBuildSpec(r *http.Request) (buildSpec, error) {
 	var req buildRequest
-	if r.Body != nil {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err.Error() != "EOF" {
-			return buildSpec{}, &httpError{http.StatusBadRequest, "octserve: bad request body: " + err.Error()}
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
 		}
+		return buildSpec{}, &httpError{status, "octserve: bad request body: " + err.Error()}
 	}
 
 	inst := s.inst
@@ -240,6 +249,7 @@ func (s *server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "octserve: POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBuildBody)
 	spec, err := s.parseBuildSpec(r)
 	if err != nil {
 		var he *httpError

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -99,6 +101,26 @@ func TestBuildEndpointValidation(t *testing.T) {
 	t.Cleanup(noInst.Close)
 	if rec := postBuild(t, noInst, "{}"); rec.Code != 400 {
 		t.Fatalf("no instance: status %d", rec.Code)
+	}
+}
+
+// TestBuildEndpointBodyLimit: a body past the http.MaxBytesReader limit that
+// handleBuild installs is a 413, and an empty body still builds the server's
+// own instance with every default.
+func TestBuildEndpointBodyLimit(t *testing.T) {
+	s := testServer(t)
+	// Overflowing maxBuildBody itself would buffer 64 MiB in the decoder;
+	// the same wrapping with a 16-byte limit exercises the same path.
+	req := httptest.NewRequest("POST", "/build", strings.NewReader(`{"algorithm":"cct","trace":true}`))
+	req.Body = http.MaxBytesReader(httptest.NewRecorder(), req.Body, 16)
+	_, err := s.parseBuildSpec(req)
+	var he *httpError
+	if !errors.As(err, &he) || he.code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: err = %v, want a 413", err)
+	}
+	resp := decodeBuild(t, postBuild(t, s, ""))
+	if resp.Algorithm != "ctcr" || resp.Sets != s.inst.N() {
+		t.Fatalf("empty body built %+v", resp)
 	}
 }
 

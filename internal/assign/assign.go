@@ -383,13 +383,10 @@ func (a *Assigner) RunContext(ctx context.Context) error {
 		// positive gain may have gained one only through coverage loss,
 		// which place() never causes, so no global re-push is needed.
 	}
-	sp.Counter("iterations").Add(iterations)
-	sp.Counter("requeues").Add(requeues)
-	sp.Counter("covered.sets").Add(covers)
-	sp.Counter("placements").Add(placements)
-	sp.Attr("iterations", iterations)
-	sp.Attr("covered.sets", covers)
-	sp.Attr("placements", placements)
+	sp.Add("iterations", iterations)
+	sp.Add("requeues", requeues)
+	sp.Add("covered.sets", covers)
+	sp.Add("placements", placements)
 
 	a.assignLeftovers(ctx)
 	return ctx.Err()
@@ -584,8 +581,8 @@ func (a *Assigner) assignLeftovers(ctx context.Context) {
 		a.place(m.item, c)
 		placements++
 	}
-	sp.Counter("iterations").Add(iterations)
-	sp.Counter("placements").Add(placements)
+	sp.Add("iterations", iterations)
+	sp.Add("placements", placements)
 	if led := ledger.FromContext(ctx); led.Enabled() {
 		led.Add(ledger.Record{Kind: ledger.KindLeftovers,
 			A: int32(placements), B: int32(iterations)})

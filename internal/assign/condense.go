@@ -33,7 +33,7 @@ func CondenseContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, t 
 	defer sp.End()
 	before := t.Len()
 	defer func() {
-		sp.Counter("categories.removed").Add(int64(before - t.Len()))
+		sp.Add("categories.removed", int64(before-t.Len()))
 	}()
 	// Pass 1: drop items appearing only in uncovered sets. The root is
 	// never a cover candidate: it will grow to the full universe when

@@ -77,9 +77,9 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 	}
 	span, ctx := obs.StartSpanContext(ctx, "cct.build")
 	// Coarse stage progress (embed → cluster → assign → condense); clustering
-	// and assignment report their own fine-grained progress inside.
-	const buildStages = 4
-	obs.ReportProgress(ctx, "cct.build", 0, buildStages)
+	// reports its own fine-grained progress inside.
+	tick := span.Progress(ctx, 4)
+	tick(0)
 
 	// Line 1: embeddings. E(q)_i is the raw similarity of q to the i-th
 	// set — Jaccard or F1 for those bases, (r+p)/2 for Perfect-Recall —
@@ -88,7 +88,7 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 	esp := span.Child("embed")
 	vecs := Embed(inst, cfg)
 	embedDur := esp.End()
-	obs.ReportProgress(ctx, "cct.build", 1, buildStages)
+	tick(1)
 
 	// Lines 2-3: dendrogram → tree skeleton. The strategy dispatch is what
 	// lets CCT scale past cluster.MaxPoints (see clusterDendrogram).
@@ -96,12 +96,12 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 	dend, err := clusterDendrogram(lctx, vecs, cfg)
 	if err != nil {
 		lsp.End()
-		span.End()
+		span.EndErr(err)
 		return nil, fmt.Errorf("cct: clustering: %w", err)
 	}
 	t, catOf := skeletonFromDendrogram(inst, dend)
 	clusterDur := lsp.End()
-	obs.ReportProgress(ctx, "cct.build", 2, buildStages)
+	tick(2)
 
 	// Line 4: Algorithm 2 assigns all items (every category starts empty).
 	asp, actx := span.ChildContext(ctx, "assign")
@@ -112,10 +112,10 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 	err = assign.New(inst, cfg, t, catOf, targets).RunContext(actx)
 	assignDur := asp.End()
 	if err != nil {
-		span.End()
+		span.EndErr(err)
 		return nil, fmt.Errorf("cct: %w", err)
 	}
-	obs.ReportProgress(ctx, "cct.build", 3, buildStages)
+	tick(3)
 
 	// Lines 5-7: condense and catch strays.
 	dsp, dctx := span.ChildContext(ctx, "condense")
@@ -127,12 +127,9 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 	}
 	assign.AddMiscCategory(inst, t)
 	condenseDur := dsp.End()
-	obs.ReportProgress(ctx, "cct.build", buildStages, buildStages)
 
-	span.Counter("sets").Add(int64(inst.N()))
-	span.Counter("categories").Add(int64(t.Len()))
-	span.Attr("sets", inst.N())
-	span.Attr("categories", t.Len())
+	span.Add("sets", int64(inst.N()))
+	span.Add("categories", int64(t.Len()))
 	total := span.End()
 	return &Result{
 		Tree:       t,

@@ -75,9 +75,6 @@ func ApproxAgglomerativeContext(ctx context.Context, vecs []SparseVec, opts Appr
 	}
 	sp, ctx := obs.StartSpanContext(ctx, "cluster.approx")
 	defer sp.End()
-	// Two progress stages at the loops' existing cancellation strides: graph
-	// construction (one tick per point) and the merge loop (per merge).
-	graphTick := obs.ProgressEvery(ctx, "cluster.approx/graph", int64(n), 1)
 
 	d := &Dendrogram{Leaves: n}
 	if n == 1 {
@@ -105,26 +102,16 @@ func ApproxAgglomerativeContext(ctx context.Context, vecs []SparseVec, opts Appr
 		adj[i][j] = dist
 		adj[j][i] = dist
 	}
-	if k >= n-1 {
-		// Complete graph: exact-parity mode for tests and small inputs.
-		for i := 0; i < n; i++ {
-			if graphTick(int64(i)) {
-				return nil, ctx.Err()
-			}
-			for j := i + 1; j < n; j++ {
-				connect(i, j, pts.Dist(i, j))
-			}
-		}
-	} else {
-		if err := buildKNNGraph(ctx, graphTick, pts, k, connect); err != nil {
-			return nil, err
-		}
+	// Graph construction is its own progress stage, one tick per point.
+	gsp, gctx := sp.ChildContext(ctx, "graph")
+	err := buildKNNGraph(gctx, gsp.Progress(gctx, int64(n)), pts, k, connect)
+	gsp.End()
+	if err != nil {
+		return nil, err
 	}
 	sp.Gauge("graph_edges").Set(float64(edges))
-	sp.Counter("points").Add(int64(n))
-	sp.Counter("graph.edges").Add(int64(edges))
-	sp.Attr("points", n)
-	sp.Attr("graph.edges", edges)
+	sp.Add("points", int64(n))
+	sp.Add("graph.edges", int64(edges))
 
 	// Global-minimum merge loop over a lazy-deletion heap: stale entries
 	// (dead endpoint, or a distance superseded by a Lance–Williams update)
@@ -138,18 +125,20 @@ func ApproxAgglomerativeContext(ctx context.Context, vecs []SparseVec, opts Appr
 		}
 	}
 	heap.Init(h)
-	mergeTick := obs.ProgressEvery(ctx, "cluster.approx", int64(n-1), 1)
+	// The merge loop is the span's own progress stage, one tick per merge
+	// (stale heap entries are skipped before it).
+	mergeTick := sp.Progress(ctx, int64(n-1))
 	nextID := n
 	for h.Len() > 0 && nextID < 2*n-1 {
-		if mergeTick(int64(len(d.Merges))) {
-			return nil, ctx.Err()
-		}
 		e := heap.Pop(h).(edgeEntry)
 		if !alive[e.a] || !alive[e.b] {
 			continue
 		}
 		if cur, ok := adj[e.a][e.b]; !ok || cur != e.dist {
 			continue
+		}
+		if mergeTick(int64(len(d.Merges))) {
+			return nil, ctx.Err()
 		}
 		nextID = mergeNodes(d, adj, size, alive, h, e.a, e.b, e.dist, nextID)
 	}
@@ -188,18 +177,30 @@ func ApproxAgglomerativeContext(ctx context.Context, vecs []SparseVec, opts Appr
 			roots = next
 		}
 	}
-	sp.Counter("merges").Add(int64(len(d.Merges)))
-	sp.Attr("merges", len(d.Merges))
+	sp.Add("merges", int64(len(d.Merges)))
 	return d, nil
 }
 
 // buildKNNGraph connects each point to its k (approximate) nearest
 // neighbors, generating candidates from an inverted index over the sparse
-// dimensions. Distances are Euclidean, computed from the accumulated dot
-// products; missing a candidate (posting truncation, visit budget) can only
-// drop an edge, never corrupt a distance.
+// dimensions, and polls tick once per point. Distances are Euclidean,
+// computed from the accumulated dot products; missing a candidate (posting
+// truncation, visit budget) can only drop an edge, never corrupt a
+// distance. k ≥ n−1 connects every pair instead.
 func buildKNNGraph(ctx context.Context, tick func(done int64) bool, pts *SparsePoints, k int, connect func(i, j int, dist float64)) error {
 	n := pts.Len()
+	if k >= n-1 {
+		// Complete graph: exact-parity mode for tests and small inputs.
+		for i := 0; i < n; i++ {
+			if tick(int64(i)) {
+				return ctx.Err()
+			}
+			for j := i + 1; j < n; j++ {
+				connect(i, j, pts.Dist(i, j))
+			}
+		}
+		return nil
+	}
 	type posting struct {
 		point int32
 		val   float64

@@ -157,7 +157,7 @@ func AgglomerativeContext(ctx context.Context, p Points) (*Dendrogram, error) {
 	}
 	sp, ctx := obs.StartSpanContext(ctx, "cluster.agglomerative")
 	defer sp.End()
-	tick := obs.ProgressEvery(ctx, "cluster.agglomerative", int64(n-1), 1)
+	tick := sp.Progress(ctx, int64(n-1))
 	d := &Dendrogram{Leaves: n}
 	if n == 1 {
 		return d, nil
@@ -250,12 +250,9 @@ func AgglomerativeContext(ctx context.Context, p Points) (*Dendrogram, error) {
 	// non-decreasing order a global-minimum UPGMA emits. Renumber internal
 	// node ids to match the new order.
 	sortMergesByDistance(d)
-	sp.Counter("points").Add(int64(n))
-	sp.Counter("merges").Add(int64(len(d.Merges)))
-	sp.Counter("chain.steps").Add(chainSteps)
-	sp.Attr("points", n)
-	sp.Attr("merges", len(d.Merges))
-	sp.Attr("chain.steps", chainSteps)
+	sp.Add("points", int64(n))
+	sp.Add("merges", int64(len(d.Merges)))
+	sp.Add("chain.steps", chainSteps)
 	return d, nil
 }
 

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
+	"categorytree/internal/obs"
 	"categorytree/internal/xrand"
 )
 
@@ -186,5 +188,69 @@ func TestApproxCancellation(t *testing.T) {
 	vecs := diffRandVecs(xrand.New(1), 64)
 	if _, err := ApproxAgglomerativeContext(ctx, vecs, ApproxOptions{K: 4, Force: true}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("kNN build under canceled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// progressLog records progress events in arrival order.
+type progressLog struct {
+	mu  sync.Mutex
+	evs []obs.ProgressEvent
+}
+
+func (l *progressLog) Report(ev obs.ProgressEvent) {
+	l.mu.Lock()
+	l.evs = append(l.evs, ev)
+	l.mu.Unlock()
+}
+
+// TestApproxProgressTicksPerMerge: the merge loop ticks once per merge, not
+// per heap pop (stale entries included), and both approx stages end at
+// done == total. Two groups sharing no dimension keep the kNN graph
+// disconnected, so the graph loop performs at most n−2 of the n−1 merges.
+func TestApproxProgressTicksPerMerge(t *testing.T) {
+	const half = 150
+	vecs := diffRandVecs(xrand.New(5), 2*half)
+	for i := half; i < len(vecs); i++ {
+		idx := append([]int32(nil), vecs[i].Idx...)
+		for a := range idx {
+			idx[a] += 100
+		}
+		vecs[i].Idx = idx
+	}
+	log := &progressLog{}
+	ctx := obs.WithProgress(context.Background(), log)
+	if _, err := ApproxAgglomerativeContext(ctx, vecs, ApproxOptions{K: 4, Force: true}); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(vecs))
+	var merges []int64
+	for _, ev := range log.evs {
+		switch ev.Stage {
+		case "cluster.approx":
+			merges = append(merges, ev.Done)
+		case "cluster.approx/graph":
+			if ev.Total != n {
+				t.Fatalf("graph event %+v, want total %d", ev, n)
+			}
+		}
+	}
+	if last := log.evs[len(log.evs)-1]; last != (obs.ProgressEvent{Stage: "cluster.approx", Done: n - 1, Total: n - 1}) {
+		t.Fatalf("last event %+v, want the merge stage's completion", last)
+	}
+	if int64(len(merges)) > n-1 {
+		t.Fatalf("%d merge-stage events for %d merges", len(merges), n-1)
+	}
+	for i, done := range merges[:len(merges)-1] {
+		if done != int64(i) {
+			t.Fatalf("merge tick %d reports %d: not one per merge", i, done)
+		}
+	}
+	graphEnd := obs.ProgressEvent{Stage: "cluster.approx/graph", Done: n, Total: n}
+	found := false
+	for _, ev := range log.evs {
+		found = found || ev == graphEnd
+	}
+	if !found {
+		t.Fatal("graph stage never completed")
 	}
 }

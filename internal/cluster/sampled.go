@@ -66,7 +66,7 @@ func SampledContext(ctx context.Context, vecs []SparseVec, opts SampledOptions) 
 	}
 	sp, ctx := obs.StartSpanContext(ctx, "cluster.sampled")
 	defer sp.End()
-	tick := obs.ProgressEvery(ctx, "cluster.sampled", int64(k), 1)
+	tick := sp.Progress(ctx, int64(k))
 
 	norms := make([]float64, n)
 	for i, v := range vecs {
@@ -140,10 +140,8 @@ func SampledContext(ctx context.Context, vecs []SparseVec, opts SampledOptions) 
 		addRep(pick, len(reps))
 	}
 	sp.Gauge("representatives").Set(float64(len(reps)))
-	sp.Counter("points").Add(int64(n))
-	sp.Counter("representatives").Add(int64(len(reps)))
-	sp.Attr("points", n)
-	sp.Attr("representatives", len(reps))
+	sp.Add("points", int64(n))
+	sp.Add("representatives", int64(len(reps)))
 
 	repVecs := make([]SparseVec, len(reps))
 	for j, r := range reps {
@@ -252,6 +250,6 @@ func SampledContext(ctx context.Context, vecs []SparseVec, opts SampledOptions) 
 		nextID++
 	}
 	sortMergesByDistance(d)
-	sp.Counter("merges").Add(int64(len(d.Merges)))
+	sp.Add("merges", int64(len(d.Merges)))
 	return d, nil
 }

@@ -408,12 +408,9 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 	}
 	sp.Gauge("workers").Set(float64(workers))
 	workerTimer := sp.Timer("worker")
-	done := ctx.Done()
-	// Progress: workers share one done-set counter and report at the same
-	// per-set stride the cancellation poll already runs at, so an attached
-	// reporter sees a monotonic {done, total} stream and an absent one costs
-	// a nil check per set.
-	progress := obs.ProgressFrom(ctx)
+	// One progress tick per set, shared by the workers through one done-set
+	// counter.
+	tick := sp.Progress(ctx, int64(n))
 	var setsDone atomic.Int64
 	results := make([]pairRes, workers)
 	var wg sync.WaitGroup
@@ -429,17 +426,12 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 					results[w].elapsed = time.Since(t0)
 					workerTimer.Observe(results[w].elapsed)
 				}()
-				canceled := obs.CancelEveryChan(done, 1)
 				counts := make([]int32, n)  // |I| per partner
 				counts1 := make([]int32, n) // |I₁| per partner
 				var partners []int32
 				for a := w; a < n; a += workers {
-					if canceled() {
+					if tick(setsDone.Add(1) - 1) {
 						return
-					}
-					if progress != nil {
-						progress.Report(obs.ProgressEvent{
-							Stage: "conflict.analyze", Done: setsDone.Add(1), Total: int64(n)})
 					}
 					partners = partners[:0]
 					qa := inst.Sets[a]
@@ -554,7 +546,7 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 	// 3-conflicts only matter below the Exact threshold.
 	if !exact && !aOpts.No3Conflicts {
 		tsp, tctx := sp.ChildContext(ctx, "triples")
-		res.Conflicts3 = findTripleConflicts(tctx, res, workers)
+		res.Conflicts3 = findTripleConflicts(tctx, res, workers, tsp.Progress(tctx, int64(n)))
 		tsp.End()
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -566,23 +558,20 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 			}
 		}
 	}
-	sp.Counter("sets").Add(int64(n))
-	sp.Counter("pairs.checked").Add(pairsChecked)
-	sp.Counter("conflicts2").Add(int64(len(res.Conflicts2)))
-	sp.Counter("conflicts3").Add(int64(len(res.Conflicts3)))
-	sp.Counter("must.together").Add(int64(len(res.mustT)))
-	sp.Attr("sets", n)
-	sp.Attr("pairs.checked", pairsChecked)
-	sp.Attr("conflicts2", len(res.Conflicts2))
-	sp.Attr("conflicts3", len(res.Conflicts3))
+	sp.Add("sets", int64(n))
+	sp.Add("pairs.checked", pairsChecked)
+	sp.Add("conflicts2", int64(len(res.Conflicts2)))
+	sp.Add("conflicts3", int64(len(res.Conflicts3)))
+	sp.Add("must.together", int64(len(res.mustT)))
 	return res, nil
 }
 
 // findTripleConflicts applies the rule of Section 3.2: for q1–q2–q3 with
 // both {q1,q2} and {q2,q3} must-cover-together, q2 not the largest
 // (lowest-rank-number) of the three, and {q1,q3} neither must-together nor
-// already a 2-conflict, the triplet is a 3-conflict.
-func findTripleConflicts(ctx context.Context, res *Result, workers int) [][3]oct.SetID {
+// already a 2-conflict, the triplet is a 3-conflict. The workers poll tick
+// once per middle set.
+func findTripleConflicts(ctx context.Context, res *Result, workers int, tick func(done int64) bool) [][3]oct.SetID {
 	n := len(res.MustT)
 	if workers > n {
 		workers = n
@@ -590,8 +579,6 @@ func findTripleConflicts(ctx context.Context, res *Result, workers int) [][3]oct
 	if workers < 1 {
 		workers = 1
 	}
-	done := ctx.Done()
-	progress := obs.ProgressFrom(ctx)
 	var setsDone atomic.Int64
 	// Per-set conflict adjacency for stamped constant-time pair checks.
 	confOf := make([][]oct.SetID, n)
@@ -606,18 +593,13 @@ func findTripleConflicts(ctx context.Context, res *Result, workers int) [][3]oct
 		go func(w int) {
 			defer wg.Done()
 			obs.DoStage(ctx, "conflict.triples", func(context.Context) {
-				canceled := obs.CancelEveryChan(done, 1)
 				// Epoch-stamped membership arrays: related[x] == epoch means x
 				// is must-together with or in 2-conflict with the current q1.
 				related := make([]uint32, n)
 				epoch := uint32(0)
 				for mid := w; mid < n; mid += workers {
-					if canceled() {
+					if tick(setsDone.Add(1) - 1) {
 						return
-					}
-					if progress != nil {
-						progress.Report(obs.ProgressEvent{
-							Stage: "conflict.analyze/triples", Done: setsDone.Add(1), Total: int64(n)})
 					}
 					q2 := oct.SetID(mid)
 					partners := res.MustT[mid]

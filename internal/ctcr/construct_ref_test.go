@@ -334,13 +334,10 @@ func (a *refAssigner) RunContext(ctx context.Context) error {
 		// positive gain may have gained one only through coverage loss,
 		// which place() never causes, so no global re-push is needed.
 	}
-	sp.Counter("iterations").Add(iterations)
-	sp.Counter("requeues").Add(requeues)
-	sp.Counter("covered.sets").Add(covers)
-	sp.Counter("placements").Add(placements)
-	sp.Attr("iterations", iterations)
-	sp.Attr("covered.sets", covers)
-	sp.Attr("placements", placements)
+	sp.Add("iterations", iterations)
+	sp.Add("requeues", requeues)
+	sp.Add("covered.sets", covers)
+	sp.Add("placements", placements)
 
 	a.assignLeftovers(ctx)
 	return ctx.Err()
@@ -519,8 +516,8 @@ func (a *refAssigner) assignLeftovers(ctx context.Context) {
 		a.place(m.item, c)
 		placements++
 	}
-	sp.Counter("iterations").Add(iterations)
-	sp.Counter("placements").Add(placements)
+	sp.Add("iterations", iterations)
+	sp.Add("placements", placements)
 	if led := ledger.FromContext(ctx); led.Enabled() {
 		led.Add(ledger.Record{Kind: ledger.KindLeftovers,
 			A: int32(placements), B: int32(iterations)})
@@ -612,7 +609,7 @@ func refCondenseContext(ctx context.Context, inst *oct.Instance, cfg oct.Config,
 	defer sp.End()
 	before := t.Len()
 	defer func() {
-		sp.Counter("categories.removed").Add(int64(before - t.Len()))
+		sp.Add("categories.removed", int64(before-t.Len()))
 	}()
 	// Pass 1: drop items appearing only in uncovered sets. The root is
 	// never a cover candidate: it will grow to the full universe when

@@ -124,8 +124,8 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts 
 	})
 	// Coarse stage progress (analyze → solve → construct); the stages report
 	// their own fine-grained progress inside.
-	const buildStages = 3
-	obs.ReportProgress(ctx, "ctcr.build", 0, buildStages)
+	tick := span.Progress(ctx, 3)
+	tick(0)
 
 	// Stage 1 (lines 1-9): rank, find conflicts, build the conflict
 	// (hyper)graph.
@@ -133,10 +133,10 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts 
 	analysis, err := conflict.AnalyzeContext(actx, inst, cfg, conflict.Options{No3Conflicts: opts.Disable3Conflicts})
 	analyzeDur := asp.End()
 	if err != nil {
-		span.End()
+		span.EndErr(err)
 		return nil, fmt.Errorf("ctcr: %w", err)
 	}
-	obs.ReportProgress(ctx, "ctcr.build", 1, buildStages)
+	tick(1)
 
 	// Stage 2 (line 10): solve MIS.
 	ssp, sctx := span.ChildContext(ctx, "solve")
@@ -154,28 +154,24 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts 
 	}
 	solveDur := ssp.End()
 	if err != nil {
-		span.End()
+		span.EndErr(err)
 		return nil, fmt.Errorf("ctcr: %w", err)
 	}
-	obs.ReportProgress(ctx, "ctcr.build", 2, buildStages)
+	tick(2)
 
 	// Stage 3 (lines 11-26): construct the tree.
 	csp, cctx := span.ChildContext(ctx, "construct")
 	res, err := Assemble(cctx, inst, cfg, analysis, misRes.Set, opts)
 	if err != nil {
 		csp.End()
-		span.End()
+		span.EndErr(err)
 		return nil, err
 	}
 	res.MIS = misRes
 	constructDur := csp.End()
-	obs.ReportProgress(ctx, "ctcr.build", buildStages, buildStages)
-	span.Counter("sets").Add(int64(inst.N()))
-	span.Counter("selected").Add(int64(len(res.Selected)))
-	span.Counter("categories").Add(int64(res.Tree.Len()))
-	span.Attr("sets", inst.N())
-	span.Attr("selected", len(res.Selected))
-	span.Attr("categories", res.Tree.Len())
+	span.Add("sets", int64(inst.N()))
+	span.Add("selected", int64(len(res.Selected)))
+	span.Add("categories", int64(res.Tree.Len()))
 	res.Timings = Timings{
 		Analyze:   analyzeDur,
 		Solve:     solveDur,
@@ -243,8 +239,8 @@ func Assemble(ctx context.Context, inst *oct.Instance, cfg oct.Config, analysis 
 	}
 
 	assign.AddMiscCategory(inst, res.Tree)
-	sp.Counter("selected").Add(int64(len(res.Selected)))
-	sp.Counter("categories").Add(int64(res.Tree.Len()))
+	sp.Add("selected", int64(len(res.Selected)))
+	sp.Add("categories", int64(res.Tree.Len()))
 	sp.End()
 	return res, nil
 }

@@ -71,7 +71,7 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (ApplyReport, error
 		}
 		rep.Reseeded = true
 		e.stats.Reseeds++
-		sp.Counter("reseeds").Inc()
+		sp.Add("reseeds", 1)
 		return rep, nil
 	}
 
@@ -115,8 +115,8 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (ApplyReport, error
 	for _, id := range changedIDs {
 		e.markChanged(id, false)
 	}
-	sp.Counter("pairs").Add(int64(rep.PairsScanned))
-	sp.Counter("mutations").Add(int64(len(muts)))
+	sp.Add("pairs", int64(rep.PairsScanned))
+	sp.Add("mutations", int64(len(muts)))
 	return rep, nil
 }
 

@@ -304,7 +304,7 @@ func (e *Engine) reseed(ctx context.Context) error {
 		e.ranking[i] = int32(stableOf[q])
 	}
 	e.fillRankPos()
-	sp.Counter("sets").Add(int64(e.nLive))
+	sp.Add("sets", int64(e.nLive))
 	return nil
 }
 

@@ -80,8 +80,8 @@ func (e *Engine) Rebuild(ctx context.Context) (*Build, error) {
 	}
 	e.stats.CacheHits += b.CacheHits
 	e.stats.CacheMisses += b.CacheMisses
-	sp.Counter("components").Add(int64(b.Components))
-	sp.Counter("cache_hits").Add(int64(b.CacheHits))
+	sp.Add("components", int64(b.Components))
+	sp.Add("cache_hits", int64(b.CacheHits))
 
 	// Phase 2: translate the selection and the thin analysis view to
 	// compact IDs and run the shared construction pipeline.
@@ -134,7 +134,7 @@ func (e *Engine) Rebuild(ctx context.Context) (*Build, error) {
 			return nil, fmt.Errorf("delta: self-applying edit script: %w", err)
 		}
 		e.prevTree = patched
-		sp.Counter("edits").Add(int64(b.Edits.Len()))
+		sp.Add("edits", int64(b.Edits.Len()))
 	} else {
 		e.prevTree = res.Tree.Clone()
 	}

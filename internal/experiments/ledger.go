@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"categorytree/internal/ctcr"
@@ -21,20 +20,6 @@ import (
 // gates), so the budget only polices the opt-in path.
 const ledgerOverheadBudget = 0.05
 
-// ledgerBuildStats is one measured build.
-type ledgerBuildStats struct {
-	wall time.Duration
-	cpu  time.Duration // process CPU consumed; 0 if unmeasurable
-}
-
-// better reports whether a is the stronger (cheaper) round.
-func (a ledgerBuildStats) better(b ledgerBuildStats) bool {
-	if a.cpu > 0 && b.cpu > 0 {
-		return a.cpu < b.cpu
-	}
-	return a.wall < b.wall
-}
-
 // countingWriter measures a ledger's serialized size without buffering it.
 type countingWriter struct{ n int }
 
@@ -45,14 +30,10 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 
 // LedgerOverhead ("ledger") measures what recording build-path provenance
 // costs: the same CTCR build runs with and without a ledger recorder
-// attached, in order-alternating pairs, and the gate compares each mode's
-// cheapest round by process CPU (noise stretches wall time both ways but can
-// only inflate CPU, so the minimum converges on the code's own cost — the
-// same estimator the serve experiment uses for the flight recorder). A
-// second-cheapest-pair-ratio estimator backstops hosts where one mode never
-// gets a quiet window of its own. At full scale (Scale ≥ 1) overhead beyond
-// the 5% budget is an error: provenance that slows builds materially would
-// never be left on.
+// attached, judged per build by overheadGate (the estimator the serve
+// experiment uses for the flight recorder). At full scale (Scale ≥ 1)
+// overhead beyond the 5% budget is an error: provenance that slows builds
+// materially would never be left on.
 func LedgerOverhead(ctx context.Context, opts Options) (*Result, error) {
 	n := int(20000 * opts.Scale)
 	if n < 800 {
@@ -61,7 +42,9 @@ func LedgerOverhead(ctx context.Context, opts Options) (*Result, error) {
 	inst := SyntheticScale(opts.Seed, n)
 	cfg := oct.Config{Variant: sim.Exact}
 
-	runBuild := func(record bool) (ledgerBuildStats, *ledger.Ledger, error) {
+	// led is the ledger of the latest ledger-on build, for the size rows.
+	var led *ledger.Ledger
+	runBuild := func(record bool) (unitCost, error) {
 		bctx := ctx
 		var rec *ledger.Recorder
 		if record {
@@ -76,98 +59,32 @@ func LedgerOverhead(ctx context.Context, opts Options) (*Result, error) {
 		cpu0, cpuOK := processCPUTime()
 		start := time.Now()
 		if _, err := ctcr.BuildContext(bctx, inst, cfg, ctcr.DefaultOptions()); err != nil {
-			return ledgerBuildStats{}, nil, err
+			return unitCost{}, err
 		}
 		wall := time.Since(start)
 		runtime.GC()
-		st := ledgerBuildStats{wall: wall}
+		st := unitCost{wall: wall}
 		if cpu1, ok := processCPUTime(); ok && cpuOK {
 			st.cpu = cpu1 - cpu0
 		}
-		var led *ledger.Ledger
 		if record {
 			led = rec.Seal()
 		}
-		return st, led, nil
+		return st, nil
 	}
 
-	const rounds = 3
-	const maxRounds = 9
-	var minOn, minOff ledgerBuildStats
-	var led *ledger.Ledger
-	var pairOverheads []float64
-	runPair := func(r int) error {
-		var off, on ledgerBuildStats
-		var l *ledger.Ledger
-		var err error
-		if r%2 == 0 {
-			if off, _, err = runBuild(false); err == nil {
-				on, l, err = runBuild(true)
-			}
-		} else {
-			if on, l, err = runBuild(true); err == nil {
-				off, _, err = runBuild(false)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		led = l
-		if r == 0 || off.better(minOff) {
-			minOff = off
-		}
-		if r == 0 || on.better(minOn) {
-			minOn = on
-		}
-		if off.cpu > 0 && on.cpu > 0 {
-			pairOverheads = append(pairOverheads, float64(on.cpu)/float64(off.cpu)-1)
-		}
-		return nil
+	ov, err := overheadGate(runBuild, ledgerOverheadBudget, opts.Scale >= 1)
+	if err != nil {
+		return nil, err
 	}
-	measuredOverhead := func() float64 {
-		var o float64
-		if minOn.cpu > 0 && minOff.cpu > 0 {
-			o = float64(minOn.cpu)/float64(minOff.cpu) - 1
-			if len(pairOverheads) >= 2 {
-				sorted := append([]float64(nil), pairOverheads...)
-				sort.Float64s(sorted)
-				if sorted[1] < o {
-					o = sorted[1]
-				}
-			}
-		} else {
-			o = float64(minOn.wall)/float64(minOff.wall) - 1
-		}
-		if o < 0 {
-			o = 0
-		}
-		return o
-	}
-	roundsRun := rounds
-	for r := 0; r < rounds; r++ {
-		if err := runPair(r); err != nil {
-			return nil, err
-		}
-	}
-	overhead := measuredOverhead()
-	if opts.Scale >= 1 {
-		// A minimum only improves with samples: buy the noisy mode more
-		// chances at a quiet window before declaring the budget blown.
-		for r := rounds; overhead > ledgerOverheadBudget && r < maxRounds; r++ {
-			if err := runPair(r); err != nil {
-				return nil, err
-			}
-			roundsRun = r + 1
-			overhead = measuredOverhead()
-		}
-	}
+	overhead := ov.ratio
 
 	var cw countingWriter
 	if err := led.Write(&cw); err != nil {
 		return nil, err
 	}
 	unit := "CPU per build"
-	if minOn.cpu == 0 || minOff.cpu == 0 {
+	if !ov.cpuGated() {
 		unit = "wall time (CPU time unmeasurable on this platform)"
 	}
 	res := &Result{
@@ -179,21 +96,21 @@ func LedgerOverhead(ctx context.Context, opts Options) (*Result, error) {
 			{"ledger records", fmt.Sprint(led.Len())},
 			{"records per set", fmt.Sprintf("%.2f", float64(led.Len())/float64(n))},
 			{"ledger JSON size", fmt.Sprintf("%d bytes", cw.n)},
-			{"build cpu (ledger on)", minOn.cpu.Round(time.Microsecond).String()},
-			{"build cpu (ledger off)", minOff.cpu.Round(time.Microsecond).String()},
-			{"build wall (ledger on)", minOn.wall.Round(time.Microsecond).String()},
-			{"build wall (ledger off)", minOff.wall.Round(time.Microsecond).String()},
+			{"build cpu (ledger on)", ov.on.cpu.Round(time.Microsecond).String()},
+			{"build cpu (ledger off)", ov.off.cpu.Round(time.Microsecond).String()},
+			{"build wall (ledger on)", ov.on.wall.Round(time.Microsecond).String()},
+			{"build wall (ledger off)", ov.off.wall.Round(time.Microsecond).String()},
 			{"ledger overhead", fmt.Sprintf("%.1f%%", overhead*100)},
 		},
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("ledger recording costs %.1f%% in %s; budget %.0f%% (min over %d order-alternating paired rounds, second-cheapest pair ratio as backstop)",
-			overhead*100, unit, ledgerOverheadBudget*100, roundsRun),
+			overhead*100, unit, ledgerOverheadBudget*100, ov.rounds),
 		"ledger-off builds take the nil-recorder fast paths: zero allocations on the analyze/solve hot loops, pinned by cmd/benchgate")
 	if opts.Scale >= 1 {
 		if overhead > ledgerOverheadBudget {
 			return nil, fmt.Errorf("ledger: recording overhead %.1f%% exceeds the %.0f%% budget (%v cpu ledger-on vs %v off)",
-				overhead*100, ledgerOverheadBudget*100, minOn.cpu, minOff.cpu)
+				overhead*100, ledgerOverheadBudget*100, ov.on.cpu, ov.off.cpu)
 		}
 	} else {
 		res.Notes = append(res.Notes, "CI-sized run; -scale 1 builds 20000 sets and enforces the overhead budget")

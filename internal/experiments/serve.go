@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,6 +94,14 @@ func (s servePhaseStats) cpuPerRequest() time.Duration {
 		return 0
 	}
 	return s.cpu / time.Duration(s.total)
+}
+
+// wallPerRequest is the overhead gate's unit where CPU is unmeasurable.
+func (s servePhaseStats) wallPerRequest() time.Duration {
+	if s.total == 0 {
+		return 0
+	}
+	return s.wall / time.Duration(s.total)
 }
 
 // servePhase runs one closed-loop load phase over a fresh publisher/reader
@@ -241,15 +248,6 @@ func servePhase(ctx context.Context, opts Options, workers, perWorker int, rec *
 	return stats, nil
 }
 
-// betterPhase reports whether phase a is the stronger round: lower CPU per
-// request when both rounds measured it, higher wall throughput otherwise.
-func betterPhase(a, b servePhaseStats) bool {
-	if a.cpu > 0 && b.cpu > 0 {
-		return a.cpuPerRequest() < b.cpuPerRequest()
-	}
-	return a.throughput() > b.throughput()
-}
-
 // Serve ("serve") is the closed-loop read-path load experiment: Scale×10000
 // worker goroutines (min 100, so CI-sized runs stay quick) each keep exactly
 // one /categorize request in flight against an in-process serve.Reader —
@@ -260,14 +258,10 @@ func betterPhase(a, b servePhaseStats) bool {
 // lock-free cache, pooled scratch); only the HTTP transport is elided.
 //
 // The recorder's cost (wired exactly as octserve wires it) is measured
-// separately at moderate concurrency, where per-request CPU is reproducible:
-// order-alternating paired rounds, each mode keeping its cheapest round
-// (with a per-pair fallback estimator for hosts where one mode never gets a
-// quiet window), gated on CPU per request — noise can stretch wall time both
-// ways but can only inflate CPU, so the minimum converges on the code's own
-// cost. At full
-// scale (≥10000 stress workers) overhead beyond the 5% budget is an error:
-// observability that costs real capacity fails the experiment.
+// separately at moderate concurrency, where per-request CPU is reproducible,
+// and judged per request by overheadGate. At full scale (≥10000 stress
+// workers) overhead beyond the 5% budget is an error: observability that
+// costs real capacity fails the experiment.
 func Serve(ctx context.Context, opts Options) (*Result, error) {
 	workers := int(10000 * opts.Scale)
 	if workers < 100 {
@@ -305,88 +299,17 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 	// Overhead measurement runs at moderate concurrency instead: thousands of
 	// goroutines per core make the stress pass's cost readings swing with
 	// scheduler luck, while at driver-sized concurrency the per-request CPU
-	// cost is reproducible. Rounds alternate mode order, and each mode keeps
-	// its cheapest round — noise (a neighbor's cache pollution, a GC burst)
-	// only ever inflates CPU per request, so the minimum converges on what
-	// the code itself costs.
+	// cost is reproducible.
 	const overheadWorkers = 100
 	const overheadPerWorker = 1000
-	const overheadRounds = 3
-	const overheadMaxRounds = 9
-	var minOn, minOff servePhaseStats
-	var pairOverheads []float64
-	runPair := func(r int) error {
-		var b, f servePhaseStats
-		var err error
-		if r%2 == 0 {
-			if b, err = runPhase(overheadWorkers, overheadPerWorker, false); err == nil {
-				f, err = runPhase(overheadWorkers, overheadPerWorker, true)
-			}
-		} else {
-			if f, err = runPhase(overheadWorkers, overheadPerWorker, true); err == nil {
-				b, err = runPhase(overheadWorkers, overheadPerWorker, false)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if r == 0 || betterPhase(b, minOff) {
-			minOff = b
-		}
-		if r == 0 || betterPhase(f, minOn) {
-			minOn = f
-		}
-		if b.cpu > 0 && f.cpu > 0 {
-			pairOverheads = append(pairOverheads, float64(f.cpuPerRequest())/float64(b.cpuPerRequest())-1)
-		}
-		return nil
+	ov, err := overheadGate(func(on bool) (unitCost, error) {
+		st, err := runPhase(overheadWorkers, overheadPerWorker, on)
+		return unitCost{cpu: st.cpuPerRequest(), wall: st.wallPerRequest()}, err
+	}, flightOverheadBudget, workers >= 10000)
+	if err != nil {
+		return nil, err
 	}
-	// Gate on CPU per request when the platform can measure it: machine noise
-	// stretches wall time both ways but can only inflate CPU. Two estimators,
-	// keep the kinder one: cheapest-round-per-mode (converges when each mode
-	// eventually lands a quiet window) and the second-cheapest pair ratio (a
-	// pair's phases run back-to-back under near-identical conditions, so
-	// pair ratios stay honest when one mode never got a quiet window of its
-	// own while the other did — the failure shape of min-vs-min on a busy
-	// host; requiring two sub-budget pairs to agree keeps one fluke pair,
-	// where noise hit only the baseline half, from passing the gate alone).
-	measuredOverhead := func() float64 {
-		if minOn.cpu > 0 && minOff.cpu > 0 {
-			o := float64(minOn.cpuPerRequest())/float64(minOff.cpuPerRequest()) - 1
-			if len(pairOverheads) >= 2 {
-				sorted := append([]float64(nil), pairOverheads...)
-				sort.Float64s(sorted)
-				if sorted[1] < o {
-					o = sorted[1]
-				}
-			}
-			if o < 0 {
-				o = 0
-			}
-			return o
-		}
-		return 1 - minOn.throughput()/minOff.throughput()
-	}
-	roundsRun := overheadRounds
-	for r := 0; r < overheadRounds; r++ {
-		if err := runPair(r); err != nil {
-			return nil, err
-		}
-	}
-	overhead := measuredOverhead()
-	if workers >= 10000 {
-		// A minimum only improves with samples: when a noise burst covered
-		// every round of one mode, buy that mode more chances at a quiet
-		// window before declaring the budget blown.
-		for r := overheadRounds; overhead > flightOverheadBudget && r < overheadMaxRounds; r++ {
-			if err := runPair(r); err != nil {
-				return nil, err
-			}
-			roundsRun = r + 1
-			overhead = measuredOverhead()
-		}
-	}
-	cpuGated := minOn.cpu > 0 && minOff.cpu > 0
+	overhead := ov.ratio
 	res := &Result{
 		ID:     "serve",
 		Title:  fmt.Sprintf("closed-loop /categorize load: %d concurrent in-flight requests", workers),
@@ -397,8 +320,8 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 			{"wall", fl.wall.Round(time.Millisecond).String()},
 			{"throughput", fmt.Sprintf("%.0f req/s", fl.throughput())},
 			{"baseline throughput (recorder off)", fmt.Sprintf("%.0f req/s", base.throughput())},
-			{"cpu/request (recorder on)", minOn.cpuPerRequest().String()},
-			{"cpu/request (recorder off)", minOff.cpuPerRequest().String()},
+			{"cpu/request (recorder on)", ov.on.cpu.String()},
+			{"cpu/request (recorder off)", ov.off.cpu.String()},
 			{"flight recorder overhead", fmt.Sprintf("%.1f%%", overhead*100)},
 			{"p50 latency", fl.stat.Quantile(0.50).String()},
 			{"p99 latency", fl.stat.Quantile(0.99).String()},
@@ -412,18 +335,18 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 		},
 	}
 	unit := "CPU per request"
-	if !cpuGated {
-		unit = "wall throughput (CPU time unmeasurable on this platform)"
+	if !ov.cpuGated() {
+		unit = "wall time per request (CPU time unmeasurable on this platform)"
 	}
 	res.Notes = append(res.Notes,
 		"read path is zero-lock: one atomic snapshot load per request, lock-free response cache, pooled scratch buffers",
 		fmt.Sprintf("flight recorder (wide-event ring + tail-sampled traces) costs %.1f%% in %s; budget %.0f%% (min over %d order-alternating paired rounds at %d workers per mode, two sub-budget pairs required to agree)",
-			overhead*100, unit, flightOverheadBudget*100, roundsRun, overheadWorkers))
+			overhead*100, unit, flightOverheadBudget*100, ov.rounds, overheadWorkers))
 	if workers >= 10000 {
 		res.Notes = append(res.Notes, fmt.Sprintf("sustained %d concurrent in-flight requests through %d snapshot publishes", workers, fl.publishes))
 		if overhead > flightOverheadBudget {
 			return nil, fmt.Errorf("serve: flight recorder overhead %.1f%% exceeds the %.0f%% budget (%v cpu/req with recorder vs %v baseline)",
-				overhead*100, flightOverheadBudget*100, minOn.cpuPerRequest(), minOff.cpuPerRequest())
+				overhead*100, flightOverheadBudget*100, ov.on.cpu, ov.off.cpu)
 		}
 	} else {
 		res.Notes = append(res.Notes, "CI-sized run; -scale 1 drives 10000 concurrent in-flight requests and enforces the overhead budget")

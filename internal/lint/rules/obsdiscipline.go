@@ -14,12 +14,11 @@ import (
 // observability layer trustworthy inside pipeline packages:
 //
 //   - metrics must come from the context's registry (obs.FromContext /
-//     obs.StartSpanContext), never from the process-global accessors
-//     (obs.Default, obs.StartSpan, obs.GetCounter, ...), which would leak a
-//     request's measurements into the shared registry;
+//     obs.StartSpanContext), never from the process-global obs.Default(),
+//     which would leak a request's measurements into the shared registry;
 //   - every started span (StartSpan, StartSpanContext, Child, ChildContext)
 //     must be ended on every path: either a deferred End, or no return
-//     statement between the start and the first End call;
+//     statement between the start and the first End or EndErr call;
 //   - no bare prints: log.Printf and friends bypass the structured logger
 //     (internal/obs/log) and fmt.Printf/Print/Println write diagnostics to
 //     stdout untagged — both lose the trace id and span attributes the
@@ -51,10 +50,7 @@ var ObsDiscipline = &lint.Analyzer{
 
 // globalObsAccessors are the obs entry points bound to the process-global
 // registry.
-var globalObsAccessors = map[string]bool{
-	"Default": true, "StartSpan": true, "GetCounter": true,
-	"GetGauge": true, "GetTimer": true, "GetHistogram": true,
-}
+var globalObsAccessors = map[string]bool{"Default": true}
 
 // spanStarters are the obs functions/methods that begin a span. The value
 // records which result index carries the span.
@@ -129,8 +125,8 @@ func runObsDiscipline(pass *lint.Pass) {
 			checkMutatingHandlerSpans(pass, file, declByObj)
 			continue
 		}
-		// Global-registry accessors: package-level obs.X only (methods named
-		// StartSpan on a *Registry value are registry-scoped and fine).
+		// Global-registry accessors: package-level obs functions only
+		// (methods on a *Registry value are registry-scoped and fine).
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -517,10 +513,10 @@ func analyzeSpanLifetime(pass *lint.Pass, file *ast.File, decl *ast.FuncDecl, st
 	})
 }
 
-// isEndCallOn reports whether call is <obj>.End().
+// isEndCallOn reports whether call is <obj>.End() or <obj>.EndErr(err).
 func isEndCallOn(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "End" {
+	if !ok || (sel.Sel.Name != "End" && sel.Sel.Name != "EndErr") {
 		return false
 	}
 	return identIs(info, sel.X, obj)

@@ -14,13 +14,6 @@ import (
 func globalRegistry() {
 	reg := obs.Default() // want "obs.Default records into the process-global registry"
 	_ = reg
-	c := obs.GetCounter("x") // want "obs.GetCounter records into the process-global registry"
-	_ = c
-}
-
-func globalSpan() {
-	sp := obs.StartSpan("stage") // want "obs.StartSpan records into the process-global registry"
-	defer sp.End()
 }
 
 func contextual(ctx context.Context) {
@@ -54,6 +47,16 @@ func deferredEnd(ctx context.Context, fail bool) error {
 	if fail {
 		return fmt.Errorf("fail")
 	}
+	return nil
+}
+
+func failedEnd(ctx context.Context, err error) error {
+	sp, _ := obs.StartSpanContext(ctx, "stage")
+	if err != nil {
+		sp.EndErr(err) // ends the span: the return below leaves nothing open
+		return err
+	}
+	sp.End()
 	return nil
 }
 

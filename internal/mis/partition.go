@@ -139,12 +139,9 @@ func SolvePartitionContext(ctx context.Context, g *Hypergraph, parts int, opts O
 				A: int32(v), B: -1, X: g.weights[v]})
 		}
 	}
-	sp.Counter("vertices").Add(int64(g.n))
-	sp.Counter("parts").Add(int64(parts))
-	sp.Counter("nodes.expanded").Add(totalNodes)
-	sp.Attr("vertices", g.n)
-	sp.Attr("parts", parts)
-	sp.Attr("nodes.expanded", totalNodes)
+	sp.Add("vertices", int64(g.n))
+	sp.Add("parts", int64(parts))
+	sp.Add("nodes.expanded", totalNodes)
 	return Result{
 		Set:        best,
 		Weight:     g.SetWeight(best),

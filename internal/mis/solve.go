@@ -108,59 +108,57 @@ func SolveContext(ctx context.Context, g *Hypergraph, opts Options) (Result, err
 		recordKernel(led, g, fixedIn, undecided, decidedBy)
 	}
 
+	var sub *Hypergraph
+	var orig []int
+	var comps [][]int
 	if len(undecided) > 0 {
-		sub, orig := g.Induced(undecided)
-		comps := sub.Components()
-		pos := make([]int32, sub.n) // Induced scratch shared by the components
-		// Per-component progress at the loop's existing cancellation
-		// granularity; branch-and-bound interior polling stays stride-1024.
-		tick := obs.ProgressEvery(ctx, "mis.solve", int64(len(comps)), 1)
-		for _, comp := range comps {
-			if tick(int64(res.Components)) {
-				return Result{}, ctx.Err()
-			}
-			res.Components++
-			cg, corig := sub.induced(comp, pos)
-			var sol []int
-			via := ledger.ViaHeuristic
-			if !heuristicOnly && cg.N() <= opts.MaxExactComponent {
-				warm := localSearch(cg, solveGreedy(cg), opts.LocalSearchRounds)
-				exact, optimal, nodes := solveExactN(cg, opts.NodeBudget, warm, done)
-				sol = exact
-				res.Nodes += nodes
-				if optimal {
-					via = ledger.ViaExact
-				} else {
-					res.Optimal = false
-				}
+		sub, orig = g.Induced(undecided)
+		comps = sub.Components()
+	}
+	// Per-component progress at the loop's existing cancellation
+	// granularity (branch-and-bound interior polling stays stride-1024); a
+	// graph the kernel decided outright completes at 0/0.
+	tick := sp.Progress(ctx, int64(len(comps)))
+	pos := make([]int32, len(undecided)) // Induced scratch shared by the components
+	for _, comp := range comps {
+		if tick(int64(res.Components)) {
+			return Result{}, ctx.Err()
+		}
+		res.Components++
+		cg, corig := sub.induced(comp, pos)
+		var sol []int
+		via := ledger.ViaHeuristic
+		if !heuristicOnly && cg.N() <= opts.MaxExactComponent {
+			warm := localSearch(cg, solveGreedy(cg), opts.LocalSearchRounds)
+			exact, optimal, nodes := solveExactN(cg, opts.NodeBudget, warm, done)
+			sol = exact
+			res.Nodes += nodes
+			if optimal {
+				via = ledger.ViaExact
 			} else {
-				sol = localSearch(cg, solveGreedy(cg), opts.LocalSearchRounds)
 				res.Optimal = false
 			}
-			if capture {
-				recordComponent(led, cg, corig, orig, res.Components-1, sol, via)
-			}
-			for _, v := range sol {
-				res.Set = append(res.Set, orig[corig[v]])
-			}
+		} else {
+			sol = localSearch(cg, solveGreedy(cg), opts.LocalSearchRounds)
+			res.Optimal = false
+		}
+		if capture {
+			recordComponent(led, cg, corig, orig, res.Components-1, sol, via)
+		}
+		for _, v := range sol {
+			res.Set = append(res.Set, orig[corig[v]])
 		}
 	}
-	// Final report is unconditional (done == total == components, possibly
-	// zero) so every solve surfaces as a completed stage to live observers.
-	obs.ReportProgress(ctx, "mis.solve", int64(res.Components), int64(res.Components))
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 
 	sort.Ints(res.Set)
 	res.Weight = g.SetWeight(res.Set)
-	sp.Counter("vertices").Add(int64(g.n))
-	sp.Counter("components").Add(int64(res.Components))
-	sp.Counter("kernel.fixed").Add(int64(res.Fixed))
-	sp.Counter("nodes.expanded").Add(res.Nodes)
-	sp.Attr("vertices", g.n)
-	sp.Attr("components", res.Components)
-	sp.Attr("nodes.expanded", res.Nodes)
+	sp.Add("vertices", int64(g.n))
+	sp.Add("components", int64(res.Components))
+	sp.Add("kernel.fixed", int64(res.Fixed))
+	sp.Add("nodes.expanded", res.Nodes)
 	sp.Attr("optimal", res.Optimal)
 	return res, nil
 }

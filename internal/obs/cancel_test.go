@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"sync"
 	"testing"
 )
 
@@ -47,10 +48,22 @@ func TestCancelEveryChanStride(t *testing.T) {
 
 func TestCancelEveryStrideOne(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	check := CancelEvery(ctx, 1)
-	if check() {
-		t.Fatal("live context reported cancellation")
+	check := CancelEveryChan(ctx.Done(), 1)
+	// Stride 1 keeps no state, so workers may share one poll (-race).
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if check() {
+					t.Error("live context reported cancellation")
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	cancel()
 	if !check() {
 		t.Fatal("stride-1 poll missed cancellation on the next call")
@@ -61,7 +74,7 @@ func TestCancelEveryNonPositiveStride(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, stride := range []int{0, -5} {
-		if !CancelEvery(ctx, stride)() {
+		if !CancelEveryChan(ctx.Done(), stride)() {
 			t.Errorf("stride %d: first call after cancel must report true", stride)
 		}
 	}

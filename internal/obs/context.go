@@ -78,7 +78,7 @@ func StartSpanContext(ctx context.Context, name string) (Span, context.Context) 
 // ChildContext is Span.Child plus context propagation: the returned context
 // carries the child's trace span, so callees that StartSpanContext nest
 // under this stage rather than its parent.
-func (s Span) ChildContext(ctx context.Context, name string) (Span, context.Context) {
+func (s *Span) ChildContext(ctx context.Context, name string) (Span, context.Context) {
 	child := s.Child(name)
 	ctx = trace.ContextWithSpan(ctx, child.tr)
 	if child.tr == nil && child.name != "" {

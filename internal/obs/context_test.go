@@ -25,7 +25,7 @@ func TestStartSpanContextRecordsToContextRegistry(t *testing.T) {
 	reg := NewRegistry()
 	ctx := WithRegistry(context.Background(), reg)
 	sp, ctx2 := StartSpanContext(ctx, "stage")
-	sp.Counter("n").Add(3)
+	sp.Add("n", 3)
 	child, _ := StartSpanContext(ctx2, "stage.inner")
 	child.End()
 	sp.End()
@@ -49,7 +49,9 @@ func TestStartSpanContextTracesWhenRecorderAttached(t *testing.T) {
 	ctx := trace.WithRecorder(WithRegistry(context.Background(), reg), rec)
 
 	sp, ctx2 := StartSpanContext(ctx, "ctcr.build")
-	sp.Attr("sets", 7)
+	sp.Attr("variant", "exact")
+	sp.Add("sets", 4)
+	sp.Add("sets", 3)
 	stage := sp.Child("analyze")
 	inner, _ := StartSpanContext(ctx2, "conflict.analyze")
 	inner.End()
@@ -60,7 +62,8 @@ func TestStartSpanContextTracesWhenRecorderAttached(t *testing.T) {
 	if len(evs) != 3 {
 		t.Fatalf("got %d trace events, want 3: %+v", len(evs), evs)
 	}
-	if evs[0].Name != "ctcr.build" || evs[0].Args["sets"] != 7 {
+	// A counter is also the span's trace attribute, carrying its total.
+	if evs[0].Name != "ctcr.build" || evs[0].Args["sets"] != int64(7) || evs[0].Args["variant"] != "exact" {
 		t.Fatalf("root event = %+v", evs[0])
 	}
 	names := map[string]bool{}
@@ -74,8 +77,8 @@ func TestStartSpanContextTracesWhenRecorderAttached(t *testing.T) {
 		t.Fatalf("missing child events: %v", names)
 	}
 	// The metric side is unaffected by tracing.
-	if reg.Snapshot().Timers["ctcr.build"].Count != 1 {
-		t.Fatal("span timer not recorded")
+	if s := reg.Snapshot(); s.Timers["ctcr.build"].Count != 1 || s.Counters["ctcr.build/sets"] != 7 {
+		t.Fatalf("span metrics not recorded: %+v", s)
 	}
 }
 

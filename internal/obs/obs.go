@@ -13,9 +13,9 @@
 // snapshot through the standard /debug/vars machinery, or serve
 // Registry.WriteJSON directly (what cmd/octserve's /metrics does).
 //
-// The package-level functions operate on the Default registry, which the
-// pipeline packages (conflict, mis, ctcr, cct, cluster, assign) write to;
-// cmd/octbench renders per-stage deltas of it around every experiment.
+// Pipeline stages record through the registry their context carries
+// (StartSpanContext), falling back to the process-wide Default registry;
+// cmd/octbench renders per-stage deltas of Default around every experiment.
 package obs
 
 import (
@@ -191,18 +191,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	return h
 }
-
-// GetCounter returns the named counter of the Default registry.
-func GetCounter(name string) *Counter { return std.Counter(name) }
-
-// GetGauge returns the named gauge of the Default registry.
-func GetGauge(name string) *Gauge { return std.Gauge(name) }
-
-// GetTimer returns the named timer of the Default registry.
-func GetTimer(name string) *Timer { return std.Timer(name) }
-
-// GetHistogram returns the named histogram of the Default registry.
-func GetHistogram(name string) *Histogram { return std.Histogram(name) }
 
 // TimerStat is the exported state of one Timer.
 type TimerStat struct {

@@ -139,7 +139,7 @@ func TestSpanNesting(t *testing.T) {
 	r := NewRegistry()
 	sp := r.StartSpan("ctcr.build")
 	child := sp.Child("analyze")
-	child.Counter("pairs").Add(12)
+	child.Add("pairs", 12)
 	if d := child.End(); d < 0 {
 		t.Fatalf("child duration = %v", d)
 	}
@@ -156,9 +156,10 @@ func TestSpanNesting(t *testing.T) {
 
 func TestZeroSpanIsInert(t *testing.T) {
 	var sp Span
-	sp.Counter("x").Inc() // must not panic
+	sp.Add("x", 1) // must not panic
 	sp.Gauge("y").Set(1)
-	if d := sp.Child("c").End(); d != 0 {
+	c := sp.Child("c")
+	if d := c.End(); d != 0 {
 		t.Fatalf("inert span recorded %v", d)
 	}
 }
@@ -182,10 +183,8 @@ func TestHistogramQuantile(t *testing.T) {
 
 func TestDefaultRegistryHelpers(t *testing.T) {
 	// Unique names so parallel test runs of this package don't collide.
-	GetCounter("obs_test/default.counter").Inc()
-	GetGauge("obs_test/default.gauge").Set(3)
-	GetTimer("obs_test/default.timer").Observe(time.Millisecond)
-	GetHistogram("obs_test/default.hist").Observe(time.Millisecond)
+	Default().Counter("obs_test/default.counter").Inc()
+	Default().Timer("obs_test/default.timer").Observe(time.Millisecond)
 	s := Default().Snapshot()
 	if s.Counters["obs_test/default.counter"] < 1 {
 		t.Fatal("default counter not recorded")

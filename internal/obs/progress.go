@@ -14,20 +14,15 @@ type ProgressEvent struct {
 	Total int64  `json:"total"`
 }
 
-// Progress receives progress events from pipeline stages. Implementations
-// must be safe for concurrent use: parallel stages (the conflict pair sweep)
-// report from several goroutines at once. Report is called on hot paths at
-// the cancellation-poll stride, so it must be cheap and must never block —
-// coalesce into an atomic slot or drop on a full buffer rather than waiting.
+// Progress receives progress events from pipeline stages (armed with
+// Span.Progress). Implementations must be safe for concurrent use: parallel
+// stages (the conflict pair sweep) report from several goroutines at once.
+// Report is called on hot paths at the cancellation-poll stride, so it must
+// be cheap and must never block — coalesce into an atomic slot or drop on a
+// full buffer rather than waiting.
 type Progress interface {
 	Report(ev ProgressEvent)
 }
-
-// ProgressFunc adapts a function to the Progress interface.
-type ProgressFunc func(ev ProgressEvent)
-
-// Report implements Progress.
-func (f ProgressFunc) Report(ev ProgressEvent) { f(ev) }
 
 type progressKey struct{}
 
@@ -36,55 +31,4 @@ type progressKey struct{}
 // the instrumentation costs a nil check.
 func WithProgress(ctx context.Context, p Progress) context.Context {
 	return context.WithValue(ctx, progressKey{}, p)
-}
-
-// ProgressFrom returns the context's progress reporter, or nil when none is
-// attached.
-func ProgressFrom(ctx context.Context) Progress {
-	p, _ := ctx.Value(progressKey{}).(Progress)
-	return p
-}
-
-// ReportProgress emits a one-shot progress event to the context's reporter;
-// a no-op without one. Stage entry/exit points use it directly (the
-// per-iteration paths go through ProgressEvery instead).
-func ReportProgress(ctx context.Context, stage string, done, total int64) {
-	if p := ProgressFrom(ctx); p != nil {
-		p.Report(ProgressEvent{Stage: stage, Done: done, Total: total})
-	}
-}
-
-// ProgressEvery is CancelEvery fused with progress reporting: the returned
-// poll takes the loop's current done count, and each time the stride elapses
-// it reports {stage, done, total} to the context's reporter and polls
-// cancellation. With no reporter attached it degenerates to exactly the
-// CancelEvery protocol, so the hot path pays nothing new; like CancelEvery,
-// the closure carries unsynchronized state — one per goroutine.
-func ProgressEvery(ctx context.Context, stage string, total int64, stride int) func(done int64) bool {
-	p := ProgressFrom(ctx)
-	done := ctx.Done()
-	if stride < 1 {
-		stride = 1
-	}
-	calls := 0
-	canceled := false
-	return func(d int64) bool {
-		if canceled {
-			return true
-		}
-		calls++
-		if calls < stride {
-			return false
-		}
-		calls = 0
-		if p != nil {
-			p.Report(ProgressEvent{Stage: stage, Done: d, Total: total})
-		}
-		select {
-		case <-done:
-			canceled = true
-		default:
-		}
-		return canceled
-	}
 }

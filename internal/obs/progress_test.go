@@ -2,8 +2,13 @@ package obs
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"categorytree/internal/obs/trace"
 )
 
 // collector is a threadsafe Progress recording every event.
@@ -24,74 +29,114 @@ func (c *collector) events() []ProgressEvent {
 	return append([]ProgressEvent(nil), c.evs...)
 }
 
-func TestProgressFromAbsent(t *testing.T) {
-	if p := ProgressFrom(context.Background()); p != nil {
-		t.Fatalf("ProgressFrom(empty) = %v, want nil", p)
+// progressSpan starts a span on a fresh registry, with c attached as the
+// reporter when non-nil.
+func progressSpan(ctx context.Context, c *collector) (Span, context.Context) {
+	ctx = WithRegistry(ctx, NewRegistry())
+	if c != nil {
+		ctx = WithProgress(ctx, c)
 	}
-	// ReportProgress without a reporter must be a silent no-op.
-	ReportProgress(context.Background(), "stage", 1, 2)
+	return StartSpanContext(ctx, "cluster.merge")
 }
 
 func TestReportProgressDelivers(t *testing.T) {
 	c := &collector{}
-	ctx := WithProgress(context.Background(), c)
-	ReportProgress(ctx, "ctcr.build", 1, 3)
-	evs := c.events()
-	if len(evs) != 1 || evs[0] != (ProgressEvent{Stage: "ctcr.build", Done: 1, Total: 3}) {
-		t.Fatalf("events = %+v", evs)
+	sp, ctx := progressSpan(context.Background(), c)
+	tick := sp.Progress(ctx, 10)
+	// The call site sets the stride: here every third unit.
+	for done := int64(0); done < 10; done += 3 {
+		if tick(done) {
+			t.Fatalf("canceled at %d without cancellation", done)
+		}
+	}
+	sp.End()
+	var got []int64
+	for _, ev := range c.events() {
+		if ev.Stage != "cluster.merge" || ev.Total != 10 {
+			t.Fatalf("event %+v", ev)
+		}
+		got = append(got, ev.Done)
+	}
+	// End completes the stage at total.
+	if want := []int64{0, 3, 6, 9, 10}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("done sequence %v, want %v", got, want)
 	}
 }
 
-func TestProgressEveryReportsAtStride(t *testing.T) {
-	c := &collector{}
-	ctx := WithProgress(context.Background(), c)
-	tick := ProgressEvery(ctx, "merges", 10, 3)
-	for i := int64(1); i <= 9; i++ {
-		if tick(i) {
-			t.Fatalf("canceled at %d without cancellation", i)
-		}
-	}
-	evs := c.events()
-	// Stride 3 over 9 calls: reports at done = 3, 6, 9.
-	want := []int64{3, 6, 9}
-	if len(evs) != len(want) {
-		t.Fatalf("got %d events %+v, want %d", len(evs), evs, len(want))
-	}
-	for i, w := range want {
-		if evs[i].Done != w || evs[i].Total != 10 || evs[i].Stage != "merges" {
-			t.Fatalf("event %d = %+v, want done %d", i, evs[i], w)
-		}
-	}
-}
-
-func TestProgressEveryHonorsCancellation(t *testing.T) {
+func TestSpanProgressWithoutReporter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	tick := ProgressEvery(ctx, "s", 5, 1)
-	if tick(1) {
-		t.Fatal("canceled before cancel()")
+	sp, ctx := progressSpan(ctx, nil)
+	tick := sp.Progress(ctx, 5)
+	if tick(0) || tick(1) {
+		t.Fatal("spurious cancellation")
 	}
 	cancel()
 	if !tick(2) {
 		t.Fatal("cancellation not observed")
 	}
-	// Latches like CancelEvery.
-	if !tick(3) {
-		t.Fatal("cancellation did not latch")
+	sp.End() // no reporter: nothing to complete, must not panic
+}
+
+func TestSpanProgressHonorsCancellation(t *testing.T) {
+	c := &collector{}
+	ctx, cancel := context.WithCancel(context.Background())
+	sp, ctx := progressSpan(ctx, c)
+	tick := sp.Progress(ctx, 5)
+	if tick(0) {
+		t.Fatal("canceled before cancel()")
+	}
+	cancel()
+	if !tick(1) || !tick(2) {
+		t.Fatal("cancellation not observed")
+	}
+	sp.End()
+	for _, ev := range c.events() {
+		if ev.Done == ev.Total {
+			t.Fatalf("canceled stage completed: %+v", ev)
+		}
 	}
 }
 
-func TestProgressEveryWithoutReporterMatchesCancelEvery(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	tick := ProgressEvery(ctx, "s", 5, 2)
-	if tick(1) || tick(2) {
-		t.Fatal("spurious cancellation")
+func TestSpanEndErrSendsNoCompletion(t *testing.T) {
+	c := &collector{}
+	rec := trace.New()
+	sp, ctx := progressSpan(trace.WithRecorder(context.Background(), rec), c)
+	tick := sp.Progress(ctx, 4)
+	tick(0)
+	sp.EndErr(errors.New("clustering: too many points"))
+	if evs := c.events(); len(evs) != 1 || evs[0].Done != 0 {
+		t.Fatalf("failed stage events = %+v, want only 0/4", evs)
 	}
-	cancel()
-	if tick(3) { // stride not yet elapsed since last poll
-		t.Fatal("poll fired off-stride")
+	if evs := rec.Events(); len(evs) != 1 || evs[0].Args["error"] != "clustering: too many points" {
+		t.Fatalf("trace events = %+v", evs)
 	}
-	if !tick(4) {
-		t.Fatal("cancellation not observed at stride")
+}
+
+// A parallel loop's workers share one poll; the stage still ends at total.
+func TestSpanProgressSharedByWorkers(t *testing.T) {
+	c := &collector{}
+	sp, ctx := progressSpan(context.Background(), c)
+	const n = 400
+	tick := sp.Progress(ctx, n)
+	var done atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n/4; i++ {
+				if tick(done.Add(1) - 1) {
+					t.Error("spurious cancellation")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sp.End()
+	evs := c.events()
+	if len(evs) != n+1 || evs[n] != (ProgressEvent{Stage: "cluster.merge", Done: n, Total: n}) {
+		t.Fatalf("got %d events ending %+v", len(evs), evs[len(evs)-1])
 	}
 }
 

@@ -201,6 +201,22 @@ func (s *Span) SetAttr(key string, v interface{}) {
 	s.args = append(s.args, attr{key, v})
 }
 
+// AddAttr adds n to the integer attribute key, starting it at n, so a span
+// that counts in several steps carries the total.
+func (s *Span) AddAttr(key string, n int64) {
+	if s == nil {
+		return
+	}
+	for i := range s.args {
+		if s.args[i].key == key {
+			v, _ := s.args[i].val.(int64)
+			s.args[i].val = v + n
+			return
+		}
+	}
+	s.args = append(s.args, attr{key, n})
+}
+
 // End completes the span and appends its event to the recorder.
 func (s *Span) End() {
 	if s == nil {
