@@ -39,7 +39,36 @@ func progressSpan(ctx context.Context, c *collector) (Span, context.Context) {
 	return StartSpanContext(ctx, "cluster.merge")
 }
 
+// Without a reporter in the context, arming a span reports nothing and End
+// sends no completion; on a context that cannot be canceled the poll never
+// cancels.
+func TestProgressFromAbsent(t *testing.T) {
+	sp, ctx := progressSpan(context.Background(), nil)
+	tick := sp.Progress(ctx, 2)
+	if sp.rep != nil {
+		t.Fatalf("span armed with reporter %v, want none", sp.rep)
+	}
+	for done := int64(0); done < 4; done++ {
+		if tick(done) {
+			t.Fatalf("canceled at %d on a context without cancellation", done)
+		}
+	}
+	sp.End() // no reporter: nothing to complete, must not panic
+}
+
 func TestReportProgressDelivers(t *testing.T) {
+	c := &collector{}
+	sp, ctx := progressSpan(context.Background(), c)
+	tick := sp.Progress(ctx, 3)
+	tick(1)
+	evs := c.events()
+	if len(evs) != 1 || evs[0] != (ProgressEvent{Stage: "cluster.merge", Done: 1, Total: 3}) {
+		t.Fatalf("events = %+v", evs)
+	}
+	sp.End()
+}
+
+func TestProgressEveryReportsAtStride(t *testing.T) {
 	c := &collector{}
 	sp, ctx := progressSpan(context.Background(), c)
 	tick := sp.Progress(ctx, 10)
@@ -63,15 +92,22 @@ func TestReportProgressDelivers(t *testing.T) {
 	}
 }
 
-func TestSpanProgressWithoutReporter(t *testing.T) {
+// Without a reporter the span's poll is exactly CancelEveryChan at stride 1.
+func TestProgressEveryWithoutReporterMatchesCancelEvery(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	sp, ctx := progressSpan(ctx, nil)
 	tick := sp.Progress(ctx, 5)
-	if tick(0) || tick(1) {
-		t.Fatal("spurious cancellation")
+	ref := CancelEveryChan(ctx.Done(), 1)
+	for done := int64(0); done < 5; done++ {
+		if done == 2 {
+			cancel()
+		}
+		if got, want := tick(done), ref(); got != want {
+			t.Fatalf("tick(%d) = %v, CancelEveryChan poll = %v", done, got, want)
+		}
 	}
-	cancel()
-	if !tick(2) {
+	if !tick(5) {
 		t.Fatal("cancellation not observed")
 	}
 	sp.End() // no reporter: nothing to complete, must not panic
