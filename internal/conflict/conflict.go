@@ -27,11 +27,11 @@
 package conflict
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -50,34 +50,29 @@ type Result struct {
 	// RankOf inverts Ranking: RankOf[id] is the 0-based rank index.
 	RankOf []int
 	// Conflicts2 lists the 2-conflicts (pairs coverable neither together
-	// nor separately), each with the lower SetID first.
+	// nor separately), each with the lower SetID first, sorted.
 	Conflicts2 [][2]oct.SetID
-	// Conflicts3 lists the 3-conflicts of Section 3.2.
+	// Conflicts3 lists the 3-conflicts of Section 3.2, each sorted, in
+	// sorted order.
 	Conflicts3 [][3]oct.SetID
 	// MustT is, per set, the sets it must be covered together with
 	// (coverable together but not separately), sorted by rank index.
 	MustT [][]oct.SetID
-
-	conf2 map[uint64]struct{}
-	mustT map[uint64]struct{}
 }
 
 // NewResult assembles a Result from explicit conflict lists, deriving the
-// rank inverse, the per-set must-together lists, and the membership indexes
-// behind IsConflict2/MustCoverTogether. It is the constructor the delta
-// engine (internal/delta) uses to materialize its incrementally maintained
-// conflict state in the exact shape AnalyzeContext produces: Conflicts2
-// lower-ID-first and sorted, Conflicts3 sorted, MustT per set sorted by rank.
-// Inputs are copied where normalization requires it; mustPairs order does not
-// matter.
+// rank inverse and the per-set must-together lists. It is the constructor
+// the delta engine (internal/delta) uses to materialize its incrementally
+// maintained conflict state in the exact shape AnalyzeContext produces:
+// Conflicts2 lower-ID-first and sorted, Conflicts3 sorted, MustT per set
+// sorted by rank. Inputs are copied where normalization requires it;
+// mustPairs order does not matter.
 func NewResult(ranking []oct.SetID, conflicts2 [][2]oct.SetID, conflicts3 [][3]oct.SetID, mustPairs [][2]oct.SetID) *Result {
 	n := len(ranking)
 	res := &Result{
 		Ranking: ranking,
 		RankOf:  make([]int, n),
 		MustT:   make([][]oct.SetID, n),
-		conf2:   make(map[uint64]struct{}, len(conflicts2)),
-		mustT:   make(map[uint64]struct{}, len(mustPairs)),
 	}
 	for i, id := range ranking {
 		res.RankOf[id] = i
@@ -87,43 +82,47 @@ func NewResult(ranking []oct.SetID, conflicts2 [][2]oct.SetID, conflicts3 [][3]o
 			c[0], c[1] = c[1], c[0]
 		}
 		res.Conflicts2 = append(res.Conflicts2, c)
-		res.conf2[pairKey(c[0], c[1])] = struct{}{}
 	}
-	sortPairs(res.Conflicts2)
+	slices.SortFunc(res.Conflicts2, comparePairs)
 	for _, t := range conflicts3 {
 		res.Conflicts3 = append(res.Conflicts3, sortTriple(t[0], t[1], t[2]))
 	}
-	sortTriples(res.Conflicts3)
+	slices.SortFunc(res.Conflicts3, compareTriples)
 	for _, m := range mustPairs {
-		res.mustT[pairKey(m[0], m[1])] = struct{}{}
 		res.MustT[m[0]] = append(res.MustT[m[0]], m[1])
 		res.MustT[m[1]] = append(res.MustT[m[1]], m[0])
 	}
-	for id := range res.MustT {
-		rank := res.RankOf
-		lst := res.MustT[id]
-		sort.Slice(lst, func(i, j int) bool { return rank[lst[i]] < rank[lst[j]] })
-	}
+	res.sortMustT()
 	return res
 }
 
-func pairKey(a, b oct.SetID) uint64 {
+// sortMustT orders every must-together list by rank index.
+func (r *Result) sortMustT() {
+	rank := r.RankOf
+	byRank := func(x, y oct.SetID) int { return cmp.Compare(rank[x], rank[y]) }
+	for _, lst := range r.MustT {
+		slices.SortFunc(lst, byRank)
+	}
+}
+
+// IsConflict2 reports whether {a, b} is a 2-conflict: a binary search of
+// the sorted Conflicts2.
+func (r *Result) IsConflict2(a, b oct.SetID) bool {
 	if a > b {
 		a, b = b, a
 	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-// IsConflict2 reports whether {a, b} is a 2-conflict.
-func (r *Result) IsConflict2(a, b oct.SetID) bool {
-	_, ok := r.conf2[pairKey(a, b)]
+	_, ok := slices.BinarySearchFunc(r.Conflicts2, [2]oct.SetID{a, b}, comparePairs)
 	return ok
 }
 
 // MustCoverTogether reports whether {a, b} can only be covered on one
-// branch.
+// branch: a binary search of a's rank-sorted must-together list for b's
+// rank.
 func (r *Result) MustCoverTogether(a, b oct.SetID) bool {
-	_, ok := r.mustT[pairKey(a, b)]
+	rank := r.RankOf
+	_, ok := slices.BinarySearchFunc(r.MustT[a], rank[b], func(x oct.SetID, rb int) int {
+		return cmp.Compare(rank[x], rb)
+	})
 	return ok
 }
 
@@ -355,6 +354,10 @@ func AnalyzeWith(inst *oct.Instance, cfg oct.Config, aOpts Options) *Result {
 // spans nest under the caller's, and cancellation is honored between pair
 // enumerations — a canceled context aborts the parallel sweep and returns
 // ctx.Err() with a nil result.
+//
+// The sweep runs set a on worker a mod W, which emits the set's 2-conflicts
+// as one run sorted by partner; merging the runs in set order yields the
+// sorted Conflicts2 without a global sort.
 func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOpts Options) (*Result, error) {
 	sp, ctx := obs.StartSpanContext(ctx, "conflict.analyze")
 	defer sp.End()
@@ -363,20 +366,11 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 		Ranking: inst.Ranking(),
 		RankOf:  make([]int, n),
 		MustT:   make([][]oct.SetID, n),
-		conf2:   make(map[uint64]struct{}),
-		mustT:   make(map[uint64]struct{}),
 	}
 	for i, id := range res.Ranking {
 		res.RankOf[id] = i
 	}
-
-	// Inverted index: item -> sets containing it.
-	postings := make(map[intset.Item][]int32)
-	for i, s := range inst.Sets {
-		for _, it := range s.Items.Slice() {
-			postings[it] = append(postings[it], int32(i))
-		}
-	}
+	postStart, postSets := invertedIndex(inst)
 
 	bounded := hasBounds(cfg)
 	exact := cfg.Variant == sim.Exact
@@ -385,110 +379,96 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 	// Decision-ledger capture is opt-in per build. When off, the hot pair
 	// loop pays exactly one hoisted bool test per classified pair and zero
 	// extra allocations; when on, workers compute margins and pack records
-	// in parallel, buffered in fixed-size chunks (no growslice copying on
-	// large builds), and the merge below bulk-appends chunk by chunk, so
-	// the recorder's mutex is taken once per ~4k records, never per pair.
+	// in parallel, buffered in fixed-size chunks, and the merge below
+	// bulk-appends chunk by chunk, so the recorder's mutex is taken once per
+	// ~4k records, never per pair.
 	led := ledger.FromContext(ctx)
 	capture := led.Enabled()
-	const witnessChunk = 4096
 
-	type pairRes struct {
-		conflicts [][2]oct.SetID
-		together  [][2]oct.SetID
-		witness   [][]ledger.Record // ledger capture only; empty when off
-		pairs     int64             // intersecting pairs evaluated by this worker
-		elapsed   time.Duration     // worker wall time, for the skew gauge
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(runtime.GOMAXPROCS(0), n), 1)
 	sp.Gauge("workers").Set(float64(workers))
 	workerTimer := sp.Timer("worker")
 	// One progress tick per set, shared by the workers through one done-set
 	// counter.
 	tick := sp.Progress(ctx, int64(n))
 	var setsDone atomic.Int64
-	results := make([]pairRes, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Stage label: profile samples of the pair sweep attribute to
-			// conflict.pairs instead of an anonymous worker goroutine.
-			obs.DoStage(ctx, "conflict.pairs", func(context.Context) {
-				t0 := time.Now()
-				defer func() {
-					results[w].elapsed = time.Since(t0)
-					workerTimer.Observe(results[w].elapsed)
-				}()
-				counts := make([]int32, n)  // |I| per partner
-				counts1 := make([]int32, n) // |I₁| per partner
-				var partners []int32
-				for a := w; a < n; a += workers {
-					if tick(setsDone.Add(1) - 1) {
-						return
+	sweeps := make([]sweep, workers)
+	// confEnd[a] and mustEnd[a] are where set a's runs end in the streams of
+	// its worker; each entry is written by that worker alone.
+	confEnd := make([]int, n)
+	mustEnd := make([]int, n)
+	// Stage label: profile samples of the pair sweep attribute to
+	// conflict.pairs instead of an anonymous worker goroutine.
+	obs.Workers(ctx, "conflict.pairs", workers, func(_ context.Context, w int) {
+		sw := &sweeps[w]
+		t0 := time.Now()
+		defer func() {
+			sw.elapsed = time.Since(t0)
+			workerTimer.Observe(sw.elapsed)
+		}()
+		counts := make([]int32, n)  // |I| per partner
+		counts1 := make([]int32, n) // |I₁| per partner
+		var partners, run []int32
+		for a := w; a < n; a += workers {
+			if tick(setsDone.Add(1) - 1) {
+				return
+			}
+			partners = partners[:0]
+			qa := inst.Sets[a]
+			for _, it := range qa.Items.Slice() {
+				b1 := !bounded || cfg.Bound(it) == 1
+				// The posting list ascends and holds a, so the partners
+				// above a are the ones past it.
+				post := postSets[postStart[it]:postStart[it+1]]
+				k, _ := slices.BinarySearch(post, int32(a))
+				for _, b := range post[k+1:] {
+					if counts[b] == 0 {
+						partners = append(partners, b)
 					}
-					partners = partners[:0]
-					qa := inst.Sets[a]
-					for _, it := range qa.Items.Slice() {
-						b1 := !bounded || cfg.Bound(it) == 1
-						for _, b := range postings[it] {
-							if int(b) <= a {
-								continue
-							}
-							if counts[b] == 0 {
-								partners = append(partners, b)
-							}
-							counts[b]++
-							if b1 {
-								counts1[b]++
-							}
-						}
-					}
-					results[w].pairs += int64(len(partners))
-					for _, b := range partners {
-						inter := int(counts[b])
-						inter1 := inter
-						if bounded {
-							inter1 = int(counts1[b])
-						}
-						counts[b], counts1[b] = 0, 0
-
-						ai, bi := oct.SetID(a), oct.SetID(b)
-						hi, lo := ai, bi
-						if less(inst, bi, ai) {
-							hi, lo = bi, ai
-						}
-						pc := coverPair(inst.Sets[hi].Items.Len(), inst.Sets[lo].Items.Len(), inter, inter1,
-							base, cfg.Delta0(inst.Sets[hi]), cfg.Delta0(inst.Sets[lo]), exact)
-						classified := !pc.Separately
-						if classified {
-							if pc.Together {
-								results[w].together = append(results[w].together, [2]oct.SetID{ai, bi})
-							} else {
-								results[w].conflicts = append(results[w].conflicts, [2]oct.SetID{ai, bi})
-							}
-							if capture {
-								wcs := results[w].witness
-								if len(wcs) == 0 || len(wcs[len(wcs)-1]) == witnessChunk {
-									wcs = append(wcs, make([]ledger.Record, 0, witnessChunk))
-								}
-								wcs[len(wcs)-1] = append(wcs[len(wcs)-1],
-									pairWitnessRecord(inst, cfg, ai, bi, inter, inter1, pc.Together))
-								results[w].witness = wcs
-							}
-						}
+					counts[b]++
+					if b1 {
+						counts1[b]++
 					}
 				}
-			})
-		}(w)
-	}
-	wg.Wait()
+			}
+			sw.pairs += int64(len(partners))
+			run = run[:0]
+			for _, b := range partners {
+				inter := int(counts[b])
+				inter1 := inter
+				if bounded {
+					inter1 = int(counts1[b])
+				}
+				counts[b], counts1[b] = 0, 0
+
+				ai, bi := oct.SetID(a), oct.SetID(b)
+				hi, lo := ai, bi
+				if less(inst, bi, ai) {
+					hi, lo = bi, ai
+				}
+				pc := coverPair(inst.Sets[hi].Items.Len(), inst.Sets[lo].Items.Len(), inter, inter1,
+					base, cfg.Delta0(inst.Sets[hi]), cfg.Delta0(inst.Sets[lo]), exact)
+				if pc.Separately {
+					continue
+				}
+				if pc.Together {
+					sw.together.add(b)
+				} else {
+					run = append(run, b)
+				}
+				if capture {
+					sw.witness.add(pairWitnessRecord(inst, cfg, ai, bi, inter, inter1, pc.Together))
+				}
+			}
+			// Sort only the emitted run: the merge needs each set's
+			// conflicts in partner order, nothing else does.
+			slices.Sort(run)
+			for _, b := range run {
+				sw.conflicts.add(b)
+			}
+			confEnd[a], mustEnd[a] = sw.conflicts.n, sw.together.n
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -501,11 +481,11 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 	// could actually reclaim.
 	busy := sp.Histogram("worker_busy")
 	var maxElapsed, sumElapsed time.Duration
-	for _, pr := range results {
-		busy.Observe(pr.elapsed)
-		sumElapsed += pr.elapsed
-		if pr.elapsed > maxElapsed {
-			maxElapsed = pr.elapsed
+	for _, sw := range sweeps {
+		busy.Observe(sw.elapsed)
+		sumElapsed += sw.elapsed
+		if sw.elapsed > maxElapsed {
+			maxElapsed = sw.elapsed
 		}
 	}
 	if sumElapsed > 0 {
@@ -521,27 +501,13 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 		led.SetRanking(ranking)
 	}
 	var pairsChecked int64
-	for _, pr := range results {
-		pairsChecked += pr.pairs
-		for _, c := range pr.conflicts {
-			res.Conflicts2 = append(res.Conflicts2, c)
-			res.conf2[pairKey(c[0], c[1])] = struct{}{}
-		}
-		for _, m := range pr.together {
-			res.mustT[pairKey(m[0], m[1])] = struct{}{}
-			res.MustT[m[0]] = append(res.MustT[m[0]], m[1])
-			res.MustT[m[1]] = append(res.MustT[m[1]], m[0])
-		}
-		for _, chunk := range pr.witness {
-			led.AddBatch(chunk)
+	for _, sw := range sweeps {
+		pairsChecked += sw.pairs
+		for _, blk := range sw.witness.blocks {
+			led.AddBatch(blk)
 		}
 	}
-	sortPairs(res.Conflicts2)
-	for id := range res.MustT {
-		rank := res.RankOf
-		lst := res.MustT[id]
-		sort.Slice(lst, func(i, j int) bool { return rank[lst[i]] < rank[lst[j]] })
-	}
+	nMust := res.merge(sweeps, confEnd, mustEnd)
 
 	// 3-conflicts only matter below the Exact threshold.
 	if !exact && !aOpts.No3Conflicts {
@@ -562,8 +528,128 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 	sp.Add("pairs.checked", pairsChecked)
 	sp.Add("conflicts2", int64(len(res.Conflicts2)))
 	sp.Add("conflicts3", int64(len(res.Conflicts3)))
-	sp.Add("must.together", int64(len(res.mustT)))
+	sp.Add("must.together", int64(nMust))
 	return res, nil
+}
+
+// sweep is one pair-sweep worker's output.
+type sweep struct {
+	conflicts chunked[int32]         // 2-conflict partners, one sorted run per set
+	together  chunked[int32]         // must-together partners, one run per set
+	witness   chunked[ledger.Record] // ledger capture only; empty when off
+	pairs     int64                  // intersecting pairs evaluated by this worker
+	elapsed   time.Duration          // worker wall time, for the skew gauge
+}
+
+// merge moves the sweeps' runs into r and returns the must-together pair
+// count. Set a's runs sit in the streams of worker a mod W and end at
+// confEnd[a] and mustEnd[a]; a worker's runs lie back to back, so set a's
+// start where set a−W's ended. Walking the sets in ID order emits
+// Conflicts2 sorted, at its exact size. The must-together lists share one
+// backing array of exact size and are sorted by rank last.
+func (r *Result) merge(sweeps []sweep, confEnd, mustEnd []int) int {
+	workers := len(sweeps)
+	from := func(ends []int, a int) int {
+		if a < workers {
+			return 0
+		}
+		return ends[a-workers]
+	}
+	nConf, nMust := 0, 0
+	for i := range sweeps {
+		nConf += sweeps[i].conflicts.n
+		nMust += sweeps[i].together.n
+	}
+	if nConf > 0 {
+		r.Conflicts2 = make([][2]oct.SetID, 0, nConf)
+	}
+	for a, end := range confEnd {
+		s := &sweeps[a%workers].conflicts
+		for i := from(confEnd, a); i < end; i++ {
+			r.Conflicts2 = append(r.Conflicts2, [2]oct.SetID{oct.SetID(a), oct.SetID(s.at(i))})
+		}
+	}
+	if nMust == 0 {
+		return 0
+	}
+	deg := make([]int, len(mustEnd))
+	for a, end := range mustEnd {
+		s := &sweeps[a%workers].together
+		start := from(mustEnd, a)
+		deg[a] += end - start
+		for i := start; i < end; i++ {
+			deg[s.at(i)]++
+		}
+	}
+	backing := make([]oct.SetID, 2*nMust)
+	off := 0
+	for x, d := range deg {
+		if d > 0 {
+			r.MustT[x] = backing[off : off : off+d]
+			off += d
+		}
+	}
+	for a, end := range mustEnd {
+		s := &sweeps[a%workers].together
+		for i := from(mustEnd, a); i < end; i++ {
+			b := s.at(i)
+			r.MustT[a] = append(r.MustT[a], oct.SetID(b))
+			r.MustT[b] = append(r.MustT[b], oct.SetID(a))
+		}
+	}
+	r.sortMustT()
+	return nMust
+}
+
+// chunkLen is the block size of a chunked stream.
+const chunkLen = 4096
+
+// chunked is an append-only stream stored in fixed blocks of chunkLen
+// entries, so growing it never copies what it already holds.
+type chunked[T any] struct {
+	blocks [][]T
+	n      int
+}
+
+func (c *chunked[T]) add(v T) {
+	if c.n%chunkLen == 0 {
+		c.blocks = append(c.blocks, make([]T, 0, chunkLen))
+	}
+	last := &c.blocks[len(c.blocks)-1]
+	*last = append(*last, v)
+	c.n++
+}
+
+// at returns the i-th entry.
+func (c *chunked[T]) at(i int) T { return c.blocks[i/chunkLen][i%chunkLen] }
+
+// invertedIndex returns the item → sets index in CSR form: the sets holding
+// item it are sets[start[it]:start[it+1]], in ascending order.
+func invertedIndex(inst *oct.Instance) (start []int, sets []int32) {
+	items := 0
+	for _, s := range inst.Sets {
+		if l := s.Items.Len(); l > 0 {
+			items = max(items, int(s.Items.Slice()[l-1])+1)
+		}
+	}
+	start = make([]int, items+1)
+	for _, s := range inst.Sets {
+		for _, it := range s.Items.Slice() {
+			start[it+1]++
+		}
+	}
+	for it := 1; it <= items; it++ {
+		start[it] += start[it-1]
+	}
+	sets = make([]int32, start[items])
+	fill := slices.Clone(start[:items])
+	for i, s := range inst.Sets {
+		for _, it := range s.Items.Slice() {
+			sets[fill[it]] = int32(i)
+			fill[it]++
+		}
+	}
+	return start, sets
 }
 
 // findTripleConflicts applies the rule of Section 3.2: for q1–q2–q3 with
@@ -571,94 +657,98 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 // (lowest-rank-number) of the three, and {q1,q3} neither must-together nor
 // already a 2-conflict, the triplet is a 3-conflict. The workers poll tick
 // once per middle set.
+//
+// Each triple is emitted exactly once: its middle q2 is the only member
+// must-together with both others (the rule excludes a must-together
+// {q1,q3}), and for one middle the pair {q1,q3} is visited once, so the
+// workers' parts need no deduplication, only a sort.
 func findTripleConflicts(ctx context.Context, res *Result, workers int, tick func(done int64) bool) [][3]oct.SetID {
 	n := len(res.MustT)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, n), 1)
 	var setsDone atomic.Int64
-	// Per-set conflict adjacency for stamped constant-time pair checks.
-	confOf := make([][]oct.SetID, n)
+	// Per-set conflict adjacency, in CSR form, for stamped constant-time
+	// pair checks.
+	confStart := make([]int, n+1)
 	for _, c := range res.Conflicts2 {
-		confOf[c[0]] = append(confOf[c[0]], c[1])
-		confOf[c[1]] = append(confOf[c[1]], c[0])
+		confStart[c[0]+1]++
+		confStart[c[1]+1]++
 	}
-	parts := make([][][3]oct.SetID, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			obs.DoStage(ctx, "conflict.triples", func(context.Context) {
-				// Epoch-stamped membership arrays: related[x] == epoch means x
-				// is must-together with or in 2-conflict with the current q1.
-				related := make([]uint32, n)
-				epoch := uint32(0)
-				for mid := w; mid < n; mid += workers {
-					if tick(setsDone.Add(1) - 1) {
-						return
-					}
-					q2 := oct.SetID(mid)
-					partners := res.MustT[mid]
-					// Partners are sorted by rank. A triple needs q2 not to be
-					// the largest of the three, i.e. at least one partner
-					// ranked above q2 — and since i < j means partners[i] is
-					// the larger, i may only range over those partners.
-					above := 0
-					for above < len(partners) && res.RankOf[partners[above]] < res.RankOf[q2] {
-						above++
-					}
-					for i := 0; i < above; i++ {
-						q1 := partners[i]
-						epoch++
-						for _, x := range res.MustT[q1] {
-							related[x] = epoch
-						}
-						for _, x := range confOf[q1] {
-							related[x] = epoch
-						}
-						for j := i + 1; j < len(partners); j++ {
-							q3 := partners[j]
-							if related[q3] == epoch {
-								continue
-							}
-							t := sortTriple(q1, q2, q3)
-							parts[w] = append(parts[w], t)
-						}
-					}
+	for x := 1; x <= n; x++ {
+		confStart[x] += confStart[x-1]
+	}
+	confAdj := make([]int32, confStart[n])
+	fill := slices.Clone(confStart[:n])
+	for _, c := range res.Conflicts2 {
+		confAdj[fill[c[0]]] = int32(c[1])
+		fill[c[0]]++
+		confAdj[fill[c[1]]] = int32(c[0])
+		fill[c[1]]++
+	}
+	parts := make([]chunked[[3]oct.SetID], workers)
+	obs.Workers(ctx, "conflict.triples", workers, func(_ context.Context, w int) {
+		// Epoch-stamped membership array: related[x] == epoch means x is
+		// must-together with or in 2-conflict with the current q1.
+		related := make([]uint32, n)
+		epoch := uint32(0)
+		for mid := w; mid < n; mid += workers {
+			if tick(setsDone.Add(1) - 1) {
+				return
+			}
+			q2 := oct.SetID(mid)
+			partners := res.MustT[mid]
+			// Partners are sorted by rank. A triple needs q2 not to be the
+			// largest of the three, i.e. at least one partner ranked above
+			// q2 — and since i < j means partners[i] is the larger, i may
+			// only range over those partners.
+			above := 0
+			for above < len(partners) && res.RankOf[partners[above]] < res.RankOf[q2] {
+				above++
+			}
+			for i := 0; i < above; i++ {
+				q1 := partners[i]
+				epoch++
+				for _, x := range res.MustT[q1] {
+					related[x] = epoch
 				}
-			})
-		}(w)
-	}
-	wg.Wait()
-
-	seen := make(map[[3]oct.SetID]struct{})
-	var out [][3]oct.SetID
-	for _, p := range parts {
-		for _, t := range p {
-			if _, ok := seen[t]; !ok {
-				seen[t] = struct{}{}
-				out = append(out, t)
+				for _, x := range confAdj[confStart[q1]:confStart[q1+1]] {
+					related[x] = epoch
+				}
+				for j := i + 1; j < len(partners); j++ {
+					q3 := partners[j]
+					if related[q3] == epoch {
+						continue
+					}
+					parts[w].add(sortTriple(q1, q2, q3))
+				}
 			}
 		}
+	})
+
+	total := 0
+	for _, p := range parts {
+		total += p.n
 	}
-	sortTriples(out)
+	if total == 0 {
+		return nil
+	}
+	out := make([][3]oct.SetID, 0, total)
+	for _, p := range parts {
+		for _, blk := range p.blocks {
+			out = append(out, blk...)
+		}
+	}
+	slices.SortFunc(out, compareTriples)
 	return out
 }
 
-func sortTriples(ts [][3]oct.SetID) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i][0] != ts[j][0] {
-			return ts[i][0] < ts[j][0]
-		}
-		if ts[i][1] != ts[j][1] {
-			return ts[i][1] < ts[j][1]
-		}
-		return ts[i][2] < ts[j][2]
-	})
+func compareTriples(x, y [3]oct.SetID) int {
+	if c := cmp.Compare(x[0], y[0]); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x[1], y[1]); c != 0 {
+		return c
+	}
+	return cmp.Compare(x[2], y[2])
 }
 
 func sortTriple(a, b, c oct.SetID) [3]oct.SetID {
@@ -674,11 +764,9 @@ func sortTriple(a, b, c oct.SetID) [3]oct.SetID {
 	return [3]oct.SetID{a, b, c}
 }
 
-func sortPairs(ps [][2]oct.SetID) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
+func comparePairs(x, y [2]oct.SetID) int {
+	if c := cmp.Compare(x[0], y[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(x[1], y[1])
 }

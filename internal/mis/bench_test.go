@@ -68,6 +68,39 @@ func BenchmarkSolveExactTriangleDense(b *testing.B) {
 	}
 }
 
+// manyComponentsGraph mimics the conflict graph an Exact build of the
+// 20000-set SyntheticScale instance hands the solver: ~300 independent
+// components of 64 vertices at ~65% edge density and no triangles.
+func manyComponentsGraph(rng *xrand.RNG) *Hypergraph {
+	const comps, size, density = 300, 64, 0.65
+	g := NewHypergraph(comps*size, randomWeights(rng, comps*size))
+	for c := 0; c < comps; c++ {
+		off := c * size
+		for u := 0; u < size; u++ {
+			for v := u + 1; v < size; v++ {
+				if rng.Bool(density) {
+					g.AddEdge(off+u, off+v)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// BenchmarkSolveManyComponents times the whole solve pipeline on the Exact
+// instance's shape, where the components are solved in parallel.
+func BenchmarkSolveManyComponents(b *testing.B) {
+	g := manyComponentsGraph(xrand.New(313))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := Solve(g, DefaultOptions())
+		if !res.Optimal {
+			b.Fatal("not solved to optimality")
+		}
+	}
+}
+
 func BenchmarkGreedy2000(b *testing.B) {
 	g := sparseBenchGraph(2000, 1500)
 	b.ReportAllocs()

@@ -62,6 +62,9 @@ func (g *Hypergraph) N() int { return g.n }
 func (g *Hypergraph) Weight(v int) float64 { return g.weights[v] }
 
 // AddEdge inserts the 2-edge (u, v). Duplicate and self edges are ignored.
+// Edges added in ascending order of their endpoints — BuildHypergraph's
+// sorted 2-conflicts, the delta engine's ascending local IDs — append to
+// both neighbor lists without a search.
 func (g *Hypergraph) AddEdge(u, v int) {
 	if u == v {
 		return
@@ -69,7 +72,13 @@ func (g *Hypergraph) AddEdge(u, v int) {
 	if u > v {
 		u, v = v, u
 	}
-	if containsInt32(g.adj[u], int32(v)) {
+	au, av := g.adj[u], g.adj[v]
+	if (len(au) == 0 || au[len(au)-1] < int32(v)) && (len(av) == 0 || av[len(av)-1] < int32(u)) {
+		g.adj[u] = append(au, int32(v))
+		g.adj[v] = append(av, int32(u))
+		return
+	}
+	if containsInt32(au, int32(v)) {
 		return
 	}
 	g.adj[u] = insertSorted(g.adj[u], int32(v))

@@ -77,6 +77,55 @@ func TestGraphBasics(t *testing.T) {
 	}
 }
 
+// TestAddEdgeAnyOrder adds the same edge set sorted, shuffled, and shuffled
+// with every edge repeated in both orientations: the neighbor lists must
+// come out identical, sorted and duplicate-free whether an edge takes the
+// append fast path or the sorted insert.
+func TestAddEdgeAnyOrder(t *testing.T) {
+	rng := xrand.New(41)
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(40)
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < 0.3 {
+					edges = append(edges, [2]int{u, v})
+				}
+			}
+		}
+		sorted := NewHypergraph(n, nil)
+		for _, e := range edges {
+			sorted.AddEdge(e[0], e[1])
+		}
+		shuffled := NewHypergraph(n, nil)
+		dup := NewHypergraph(n, nil)
+		for _, i := range rng.Perm(len(edges)) {
+			shuffled.AddEdge(edges[i][1], edges[i][0])
+			dup.AddEdge(edges[i][0], edges[i][1])
+			dup.AddEdge(edges[i][1], edges[i][0])
+		}
+		for _, i := range rng.Perm(len(edges)) {
+			dup.AddEdge(edges[i][0], edges[i][1])
+		}
+		for _, g := range []*Hypergraph{sorted, shuffled, dup} {
+			if g.Edges() != len(edges) {
+				t.Fatalf("trial %d: %d edges, want %d", trial, g.Edges(), len(edges))
+			}
+			for v := 0; v < n; v++ {
+				nb := g.Neighbors(v)
+				for i := 1; i < len(nb); i++ {
+					if nb[i-1] >= nb[i] {
+						t.Fatalf("trial %d: neighbors of %d not strictly ascending: %v", trial, v, nb)
+					}
+				}
+			}
+		}
+		if !sameHypergraph(sorted, shuffled) || !sameHypergraph(sorted, dup) {
+			t.Fatalf("trial %d: adjacency depends on insertion order", trial)
+		}
+	}
+}
+
 func TestIsIndependent(t *testing.T) {
 	g := NewHypergraph(4, nil)
 	g.AddEdge(0, 1)

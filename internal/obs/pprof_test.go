@@ -2,8 +2,12 @@ package obs
 
 import (
 	"context"
+	"runtime"
 	"runtime/pprof"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestDoStageSetsLabel(t *testing.T) {
@@ -40,5 +44,77 @@ func TestDoLabelsComposesAndRestores(t *testing.T) {
 	})
 	if _, ok := pprof.Label(ctx, "endpoint"); ok {
 		t.Error("label leaked onto the outer context")
+	}
+}
+
+// goroutineID parses the running goroutine's ID from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+func TestWorkersRunsEveryWorkerLabeled(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5} {
+		ran := make([]atomic.Int32, n)
+		Workers(context.Background(), "conflict.pairs", n, func(ctx context.Context, w int) {
+			ran[w].Add(1)
+			if v, _ := pprof.Label(ctx, "stage"); v != "conflict.pairs" {
+				t.Errorf("n=%d worker %d: stage label = %q", n, w, v)
+			}
+		})
+		for w := range ran {
+			if got := ran[w].Load(); got != 1 {
+				t.Fatalf("n=%d: worker %d ran %d times", n, w, got)
+			}
+		}
+	}
+}
+
+func TestWorkersSingleRunsOnCaller(t *testing.T) {
+	caller := goroutineID()
+	var ran string
+	Workers(context.Background(), "mis.components", 1, func(context.Context, int) {
+		ran = goroutineID()
+	})
+	if ran != caller {
+		t.Fatalf("n == 1 ran on goroutine %s, want the caller's %s", ran, caller)
+	}
+}
+
+// TestWorkersPanicSurfacesAfterAllReturn panics in worker 0 while the others
+// are still busy: the panic reaches the caller, carrying the value, the
+// stage and the worker's stack, only once every other worker has returned.
+func TestWorkersPanicSurfacesAfterAllReturn(t *testing.T) {
+	const n = 4
+	var finished atomic.Int32
+	panicking := make(chan struct{})
+	var got interface{}
+	func() {
+		defer func() { got = recover() }()
+		Workers(context.Background(), "conflict.triples", n, func(_ context.Context, w int) {
+			if w == 0 {
+				close(panicking)
+				panic("boom in worker zero")
+			}
+			<-panicking
+			time.Sleep(20 * time.Millisecond)
+			finished.Add(1)
+		})
+	}()
+	if got == nil {
+		t.Fatal("the worker's panic did not reach the caller")
+	}
+	if f := finished.Load(); f != n-1 {
+		t.Fatalf("panic surfaced with %d of %d other workers returned", f, n-1)
+	}
+	msg, ok := got.(string)
+	if !ok {
+		t.Fatalf("panic value %T, want a string", got)
+	}
+	for _, want := range []string{"obs: conflict.triples worker 0 panicked: boom in worker zero", "goroutine ", "TestWorkersPanicSurfacesAfterAllReturn"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("panic message lacks %q:\n%s", want, msg)
+		}
 	}
 }
