@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint fmt fuzz bench bench-baseline bench-new bench-gate scale-smoke flight-dump explain-smoke
+.PHONY: all build test race lint fmt fuzz bench bench-gate scale-smoke flight-dump explain-smoke
 
 all: build lint test
 
@@ -37,31 +37,42 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
 
-# Packages whose benchmarks feed the failing CI regression gate, and the
-# exact sampling CI uses: 10 iterations gives the Mann-Whitney test enough
-# samples to reach p < 0.05 (a single-iteration baseline never can). CI's
-# bench-gate job runs `make bench-new`, so this is the only list.
+# The failing regression gate, as CI runs it: this working tree judged
+# against BASE, a git ref (CI passes the pull request's base commit), on one
+# machine in one run, so the verdict measures the change rather than the
+# host. BASE is extracted with git archive; both trees' test
+# binaries for the gated packages are built once and run in
+# BENCH_GATE_ROUNDS rounds. In each round a package's two binaries run back
+# to back, each from its own package directory, and the side that goes
+# first alternates by round, so drift over the run lands on both sides
+# alike. Each run is one sample per benchmark; cmd/benchgate fails on a
+# statistically significant (Mann-Whitney, p < 0.05) >25% geomean sec/op
+# or allocs/op regression. A package or benchmark missing at BASE is
+# listed unpaired, not judged.
 BENCH_GATE_PKGS = ./internal/conflict/ ./internal/mis/ ./internal/assign/ ./internal/ctcr/ ./internal/tree/ ./internal/serve/ ./internal/obs/flight/ ./internal/delta/
-BENCH_GATE_ARGS = -run '^$$' -bench . -count=10 -benchtime=100ms -benchmem
-
-# Regenerate BENCH_baseline.txt exactly the way CI consumes it: the full
-# suite at one iteration (feeds the smoke compare and the missing-benchmark
-# check), then -count=10 sections for the gated packages (feeds the failing
-# gate). Commit the result whenever benchmarks are added or intentionally
-# change performance.
-bench-baseline:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./... > BENCH_baseline.txt
-	$(GO) test $(BENCH_GATE_ARGS) $(BENCH_GATE_PKGS) >> BENCH_baseline.txt
-
-# Fresh -count=10 samples over the gated packages, into bench_new.txt.
-bench-new:
-	$(GO) test $(BENCH_GATE_ARGS) $(BENCH_GATE_PKGS) > bench_new.txt
-
-# The failing regression gate, as CI runs it: the fresh samples judged
-# against the committed baseline (fail only on a statistically significant
-# >25% geomean slowdown).
-bench-gate: bench-new
-	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.txt -new bench_new.txt
+BENCH_GATE_ROUNDS = 10
+BENCH_GATE_DIR = $(CURDIR)/.bench_gate
+bench-gate:
+	$(if $(BASE),,$(error set BASE to the git ref to judge against, e.g. make bench-gate BASE=main))
+	rm -rf $(BENCH_GATE_DIR) bench_base.txt bench_new.txt
+	mkdir -p $(BENCH_GATE_DIR)/base/src
+	git archive $(BASE) | tar -x -C $(BENCH_GATE_DIR)/base/src
+	for pkg in $(BENCH_GATE_PKGS); do \
+		$(GO) test -c -o $(BENCH_GATE_DIR)/new/$$pkg/bench.test $$pkg || exit 1; \
+		[ ! -d $(BENCH_GATE_DIR)/base/src/$$pkg ] || (cd $(BENCH_GATE_DIR)/base/src && \
+			$(GO) test -c -o $(BENCH_GATE_DIR)/base/$$pkg/bench.test $$pkg) || exit 1; \
+	done
+	for r in $$(seq $(BENCH_GATE_ROUNDS)); do \
+		echo "bench-gate: round $$r of $(BENCH_GATE_ROUNDS)" >&2; \
+		sides="new base"; [ $$((r % 2)) = 1 ] || sides="base new"; \
+		for pkg in $(BENCH_GATE_PKGS); do for side in $$sides; do \
+			bin=$(BENCH_GATE_DIR)/$$side/$$pkg/bench.test; dir=$$pkg; \
+			[ $$side = new ] || dir=$(BENCH_GATE_DIR)/base/src/$$pkg; \
+			[ ! -f $$bin ] || (cd $$dir && $$bin -test.run '^$$' -test.bench . -test.count 1 \
+				-test.benchtime 100ms -test.benchmem -test.timeout 10m >> $(CURDIR)/bench_$$side.txt) || exit 1; \
+		done; done; \
+	done
+	$(GO) run ./cmd/benchgate -baseline bench_base.txt -new bench_new.txt
 
 # Capture a flight-recorder diagnostics bundle (wide-event ring, SLO burn
 # rates, retained Chrome traces, Prometheus metrics, goroutine profile) by

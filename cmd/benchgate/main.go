@@ -1,27 +1,20 @@
 // Command benchgate turns Go benchmark output into a CI gate that can
-// actually fail. It parses `go test -bench` text (the committed baseline and
-// a fresh run), pairs benchmarks by name, and applies a Mann-Whitney U test
-// to each pair's sec/op and allocs/op samples. The gate fails only when the
+// actually fail. It parses two `go test -bench` outputs, the base's and the
+// change's, pairs benchmarks by name, and applies a Mann-Whitney U test to
+// each pair's sec/op and allocs/op samples. The gate fails only when the
 // geometric mean of the *statistically significant* regressions (p < alpha,
-// worse than baseline) exceeds the metric's threshold — single noisy
+// worse than the base) exceeds the metric's threshold — single noisy
 // benchmarks don't trip it, and neither does broad sub-significant jitter.
 // Allocation counts are near-deterministic, so the allocs gate is the sharp
 // end: a hot path going from 0 to any allocations is an infinite ratio and
 // always fails.
 //
-//	benchgate -baseline BENCH_baseline.txt -new bench_new.txt
-//	benchgate -mode missing -baseline BENCH_baseline.txt -new bench.txt
+//	benchgate -baseline bench_base.txt -new bench_new.txt
 //
-// Modes:
-//
-//	gate     fail when significant regressions geomean above -threshold
-//	         (default 1.25, i.e. >25% slower on sec/op)
-//	missing  fail when a benchmark present in -new has no baseline entry —
-//	         the nudge that keeps BENCH_baseline.txt in step with the suite
-//
-// Significance needs samples: with a single baseline iteration the U test
-// can never reach p < 0.05, so gated packages must be recorded with
-// -count≥4 in the baseline (make bench-baseline records 10).
+// `make bench-gate BASE=<ref>` writes both files from paired rounds on one
+// machine, so the verdict measures the change rather than the host.
+// Significance needs samples: with a single sample per side the U test can
+// never reach p < 0.05, which is why the Makefile runs ten rounds.
 //
 // Stdlib only, so CI can `go run ./cmd/benchgate` without network installs.
 package main
@@ -41,16 +34,15 @@ import (
 
 func main() {
 	var (
-		baselinePath   = flag.String("baseline", "BENCH_baseline.txt", "committed baseline benchmark output")
-		newPath        = flag.String("new", "", "fresh benchmark output to judge (required)")
-		mode           = flag.String("mode", "gate", "gate (fail on significant regressions) or missing (fail on benchmarks absent from the baseline)")
+		baselinePath   = flag.String("baseline", "", "benchmark output of the base to judge against (required)")
+		newPath        = flag.String("new", "", "benchmark output of the change to judge (required)")
 		alpha          = flag.Float64("alpha", 0.05, "significance level for the Mann-Whitney test")
 		threshold      = flag.Float64("threshold", 1.25, "failing geomean ratio over significant sec/op regressions (new/old)")
 		allocThreshold = flag.Float64("alloc-threshold", 1.25, "failing geomean ratio over significant allocs/op regressions (new/old)")
 	)
 	flag.Parse()
-	if *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -new is required")
+	if *baselinePath == "" || *newPath == "" {
+		fmt.Fprintln(os.Stderr, "benchgate: -baseline and -new are required")
 		os.Exit(2)
 	}
 	base, err := parseBenchFile(*baselinePath)
@@ -64,39 +56,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch *mode {
-	case "gate":
-		rep := gate(base, fresh, *alpha)
-		fmt.Print(rep.render())
-		failed := false
-		if rep.fails(*threshold) {
-			fmt.Printf("FAIL: significant sec/op regressions geomean %.3fx > %.2fx threshold\n", rep.geomean(), *threshold)
-			failed = true
-		} else {
-			fmt.Printf("ok: significant sec/op regressions geomean %.3fx ≤ %.2fx threshold\n", rep.geomean(), *threshold)
-		}
-		if rep.failsAllocs(*allocThreshold) {
-			fmt.Printf("FAIL: significant allocs/op regressions geomean %.3fx > %.2fx threshold\n", rep.allocGeomean(), *allocThreshold)
-			failed = true
-		} else {
-			fmt.Printf("ok: significant allocs/op regressions geomean %.3fx ≤ %.2fx threshold\n", rep.allocGeomean(), *allocThreshold)
-		}
-		if failed {
-			os.Exit(1)
-		}
-	case "missing":
-		gone := missing(base, fresh)
-		if len(gone) > 0 {
-			fmt.Println("benchmarks missing from the baseline (refresh with `make bench-baseline`):")
-			for _, name := range gone {
-				fmt.Println("  " + name)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("ok: all %d benchmarks have baseline entries\n", len(fresh))
-	default:
-		fmt.Fprintf(os.Stderr, "benchgate: unknown mode %q (gate, missing)\n", *mode)
-		os.Exit(2)
+	rep := gate(base, fresh, *alpha)
+	fmt.Print(rep.render())
+	failed := false
+	if rep.fails(*threshold) {
+		fmt.Printf("FAIL: significant sec/op regressions geomean %.3fx > %.2fx threshold\n", rep.geomean(), *threshold)
+		failed = true
+	} else {
+		fmt.Printf("ok: significant sec/op regressions geomean %.3fx ≤ %.2fx threshold\n", rep.geomean(), *threshold)
+	}
+	if rep.failsAllocs(*allocThreshold) {
+		fmt.Printf("FAIL: significant allocs/op regressions geomean %.3fx > %.2fx threshold\n", rep.allocGeomean(), *allocThreshold)
+		failed = true
+	} else {
+		fmt.Printf("ok: significant allocs/op regressions geomean %.3fx ≤ %.2fx threshold\n", rep.allocGeomean(), *allocThreshold)
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 
@@ -112,30 +88,16 @@ type samples struct {
 // ns/op figure, and (with -benchmem) the allocs/op figure.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+(?:e[+-]?[0-9]+)?) ns/op(?:.*\s([0-9]+) allocs/op)?`)
 
-// parseBench reads benchmark output into name → samples. The GOMAXPROCS
-// suffix (-8) is stripped so runs from machines with different core counts
-// still pair up. Every "pkg:" header opens a block (one go test run of one
-// package), and each benchmark keeps the samples of the block holding most
-// of them: the baseline's cold -benchtime=1x row is never pooled with the
-// -count=10 gate rows, which may run at N = 1 themselves.
+// parseBench reads benchmark output into name → samples, pooling every line
+// of a benchmark wherever it appears: a file of interleaved rounds, each
+// with its own header, yields every round's sample. The GOMAXPROCS suffix
+// (-8) is stripped so runs from machines with different core counts still
+// pair up.
 func parseBench(r io.Reader) (map[string]*samples, error) {
 	out := map[string]*samples{}
-	block := map[string]*samples{}
-	flush := func() {
-		for name, s := range block {
-			if prev := out[name]; prev == nil || len(s.sec) >= len(prev.sec) {
-				out[name] = s
-			}
-		}
-		block = map[string]*samples{}
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "pkg: ") {
-			flush()
-			continue
-		}
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
@@ -150,10 +112,10 @@ func parseBench(r io.Reader) (map[string]*samples, error) {
 				name = name[:i]
 			}
 		}
-		s := block[name]
+		s := out[name]
 		if s == nil {
 			s = &samples{}
-			block[name] = s
+			out[name] = s
 		}
 		s.sec = append(s.sec, v)
 		if m[3] != "" {
@@ -164,7 +126,6 @@ func parseBench(r io.Reader) (map[string]*samples, error) {
 			s.allocs = append(s.allocs, a)
 		}
 	}
-	flush()
 	return out, sc.Err()
 }
 
@@ -191,11 +152,13 @@ type row struct {
 	significant bool // p < alpha AND slower than baseline
 }
 
-// report is the gate's full comparison result: one row set per metric.
+// report is the gate's full comparison result: one row set per metric, plus
+// the benchmarks only one side ran, which are listed but not judged.
 type report struct {
 	rows      []row // sec/op
 	allocRows []row // allocs/op, only for pairs sampled with -benchmem
-	unpaired  []string
+	newOnly   []string
+	baseOnly  []string
 }
 
 // judge compares one benchmark's paired samples under a single metric.
@@ -221,19 +184,16 @@ func judge(name string, base, fresh []float64, alpha float64) row {
 // gate pairs benchmarks and tests each metric for regression. Only
 // benchmarks present on both sides are judged.
 func gate(base, fresh map[string]*samples, alpha float64) *report {
-	rep := &report{}
+	rep := &report{newOnly: onlyIn(fresh, base), baseOnly: onlyIn(base, fresh)}
 	names := make([]string, 0, len(fresh))
 	for name := range fresh {
-		names = append(names, name)
+		if _, ok := base[name]; ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		b, ok := base[name]
-		if !ok {
-			rep.unpaired = append(rep.unpaired, name)
-			continue
-		}
-		n := fresh[name]
+		b, n := base[name], fresh[name]
 		rep.rows = append(rep.rows, judge(name, b.sec, n.sec, alpha))
 		if len(b.allocs) > 0 && len(n.allocs) > 0 {
 			rep.allocRows = append(rep.allocRows, judge(name, b.allocs, n.allocs, alpha))
@@ -286,17 +246,20 @@ func (rep *report) render() string {
 		sb.WriteString("\n")
 		renderRows(&sb, "allocs/op", rep.allocRows)
 	}
-	for _, name := range rep.unpaired {
-		fmt.Fprintf(&sb, "%-52s (no baseline entry; not gated)\n", name)
+	for _, name := range rep.newOnly {
+		fmt.Fprintf(&sb, "%-52s (not at base; not gated)\n", name)
+	}
+	for _, name := range rep.baseOnly {
+		fmt.Fprintf(&sb, "%-52s (only at base; not gated)\n", name)
 	}
 	return sb.String()
 }
 
-// missing lists benchmarks present in fresh but absent from base, sorted.
-func missing(base, fresh map[string]*samples) []string {
+// onlyIn lists the benchmarks of a that b lacks, sorted.
+func onlyIn(a, b map[string]*samples) []string {
 	var out []string
-	for name := range fresh {
-		if _, ok := base[name]; !ok {
+	for name := range a {
+		if _, ok := b[name]; !ok {
 			out = append(out, name)
 		}
 	}

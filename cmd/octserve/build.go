@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"categorytree/internal/cct"
@@ -276,7 +277,7 @@ func (s *server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx = obs.WithRegistry(ctx, reg)
 
-	resp, built, led, err := runBuild(ctx, spec, reg)
+	resp, built, led, err := s.build(ctx, spec, reg)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -321,22 +322,36 @@ func (s *server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	defer cancel()
 	t0 := time.Now()
 	var (
-		resp  *buildResponse
-		built *tree.Tree
-		led   *ledger.Ledger
-		err   error
+		resp     *buildResponse
+		built    *tree.Tree
+		led      *ledger.Ledger
+		err      error
+		panicked bool
 	)
 	// Label the whole job so pprof samples from async builds slice by
 	// endpoint/algorithm just like read-path samples slice by endpoint.
 	obs.DoLabels(ctx, []string{"endpoint", "build", "algorithm", spec.algorithm}, func(ctx context.Context) {
-		resp, built, led, err = runBuild(ctx, spec, j.reg)
+		// This goroutine is no handler's, so net/http's recovery never sees
+		// its panics: one here would kill the server and its published
+		// snapshot. It fails the job instead.
+		defer func() {
+			if r := recover(); r != nil {
+				panicked, err = true, fmt.Errorf("%v", r)
+				s.log.LogAttrs(ctx, slog.LevelError, "build job panicked",
+					slog.String("job", j.id),
+					slog.String("panic", err.Error()),
+					slog.String("stack", string(debug.Stack())),
+				)
+			}
+		}()
+		resp, built, led, err = s.build(ctx, spec, j.reg)
 	})
 	state := jobDone
 	msg := ""
 	switch {
 	case err == nil:
 		s.maybePublish(spec, resp, built, led)
-	case ctx.Err() != nil:
+	case ctx.Err() != nil && !panicked:
 		state, msg = jobCanceled, ctx.Err().Error()
 	default:
 		state, msg = jobFailed, err.Error()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"categorytree/internal/ledger"
 	"categorytree/internal/obs"
 	"categorytree/internal/tree"
 )
@@ -142,6 +144,36 @@ func TestAsyncBuildSSEStreamsStageProgress(t *testing.T) {
 	}
 	if final.State != jobDone {
 		t.Fatalf("terminal state %q", final.State)
+	}
+}
+
+// TestAsyncBuildPanicFailsJob: an async build runs on a goroutine of its
+// own, out of net/http's recovery, so a pipeline panic there must end that
+// job failed, with the panic value as its error, and leave the server
+// answering on its published snapshot.
+func TestAsyncBuildPanicFailsJob(t *testing.T) {
+	s := testServer(t)
+	s.build = func(context.Context, buildSpec, *obs.Registry) (*buildResponse, *tree.Tree, *ledger.Ledger, error) {
+		panic("seeded build panic")
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	before := s.pub.Current().Version
+
+	v := waitJob(t, ts, startAsync(t, ts, `{"publish":true}`))
+	if v.State != jobFailed || v.Error != "seeded build panic" {
+		t.Fatalf("job state %q, error %q; want failed with the panic value", v.State, v.Error)
+	}
+	resp, err := http.Get(ts.URL + "/api/tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tree after a panicked build: status %d", resp.StatusCode)
+	}
+	if after := s.pub.Current().Version; after != before {
+		t.Fatalf("snapshot version %d → %d after a panicked build", before, after)
 	}
 }
 

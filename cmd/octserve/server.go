@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"categorytree/internal/delta"
+	"categorytree/internal/ledger"
 	"categorytree/internal/obs"
 	"categorytree/internal/obs/flight"
 	olog "categorytree/internal/obs/log"
@@ -87,6 +88,10 @@ type server struct {
 	ledgerOn bool             // -ledger: record build provenance for /explain
 	start    time.Time
 
+	// build runs one pipeline build for /build: runBuild, unless a test
+	// substitutes a failing one.
+	build func(ctx context.Context, spec buildSpec, reg *obs.Registry) (*buildResponse, *tree.Tree, *ledger.Ledger, error)
+
 	// baseCtx parents every async job; closing the server cancels it, which
 	// aborts in-flight builds mid-stage (their jobs end "canceled").
 	baseCtx context.Context
@@ -126,6 +131,7 @@ func newServer(opts serverOptions) (*server, error) {
 		jobs:     newJobRegistry(opts.MaxJobs, opts.JobTTL),
 		ledgerOn: opts.Ledger,
 		start:    time.Now(),
+		build:    runBuild,
 		baseCtx:  baseCtx,
 		cancel:   cancel,
 	}
@@ -538,21 +544,26 @@ func (s *server) handleCoverage(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "octserve: no instance loaded (-in)", http.StatusNotFound)
 		return
 	}
-	scorer := tree.NewScorer(tr)
-	per := scorer.PerSetScores(s.inst, s.cfg)
+	per := tree.NewScorer(tr).PerSetScores(s.inst, s.cfg)
 	type row struct {
 		Label  string  `json:"label"`
 		Weight float64 `json:"weight"`
 		Score  float64 `json:"score"`
 	}
 	out := make([]row, len(per))
+	score := 0.0
 	for i, sc := range per {
 		out[i] = row{Label: s.inst.Sets[i].Label, Weight: s.inst.Sets[i].Weight, Score: sc}
+		score += s.inst.Sets[i].Weight * sc
+	}
+	normalized := 0.0
+	if tw := s.inst.TotalWeight(); tw > 0 {
+		normalized = score / tw
 	}
 	writeJSON(w, map[string]interface{}{
 		"variant":    s.cfg.Variant.String(),
 		"delta":      s.cfg.Delta,
-		"normalized": scorer.NormalizedScore(s.inst, s.cfg),
+		"normalized": normalized,
 		"sets":       out,
 	})
 }

@@ -16,7 +16,7 @@ import (
 
 // The headline claim of the delta engine: at ≤1% churn on a 50k-set
 // catalog, Apply+Rebuild beats rebuilding from scratch by ≥10×. The two
-// benchmarks below feed the bench-gate baseline; EXPERIMENTS.md records
+// benchmarks below are judged by the bench gate; EXPERIMENTS.md records
 // the measured ratio. Both use the Exact variant so the conflict graph is
 // pure 2-conflicts — the scale experiments' configuration for this
 // instance family.

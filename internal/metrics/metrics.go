@@ -1,7 +1,8 @@
 // Package metrics implements the quantitative evaluation measures of
 // Section 5 beyond the raw OCT score: normalized scores, the per-source
-// score contribution of Table 1, the tf-idf category-cohesiveness measure
-// of the user study, and the conflict statistic C2(Q, W) of Theorem 3.1.
+// score contribution of Table 1, and the tf-idf category-cohesiveness
+// measure of the user study. The conflict statistic C2(Q, W) of Theorem 3.1
+// is conflict.C2Stats.
 package metrics
 
 import (

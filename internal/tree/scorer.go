@@ -1,10 +1,11 @@
 package tree
 
 import (
+	"context"
 	"runtime"
-	"sync"
 
 	"categorytree/internal/intset"
+	"categorytree/internal/obs"
 	"categorytree/internal/oct"
 	"categorytree/internal/sim"
 )
@@ -57,7 +58,7 @@ func (s *Scorer) BestCover(v sim.Variant, q intset.Set, delta float64) (*Node, f
 	bestDepth := -1
 	for idx, in := range inter {
 		n := s.nodes[idx]
-		sc := scoreWithIntersection(v, q, n.Items, in, delta)
+		sc := sim.ScoreCounts(v, q.Len(), n.Items.Len(), in, delta)
 		if sc > bestScore {
 			best, bestScore, bestDepth = n, sc, n.Depth()
 		} else if sc == bestScore && sc > 0 {
@@ -69,77 +70,13 @@ func (s *Scorer) BestCover(v sim.Variant, q intset.Set, delta float64) (*Node, f
 	return best, bestScore
 }
 
-// scoreWithIntersection mirrors sim.Score but reuses a precomputed
-// |q ∩ C| so scoring is O(1) given the postings pass.
-func scoreWithIntersection(v sim.Variant, q, c intset.Set, inter int, delta float64) float64 {
-	if q.Len() == 0 || c.Len() == 0 {
-		return sim.Score(v, q, c, delta)
-	}
-	switch v {
-	case sim.CutoffJaccard, sim.ThresholdJaccard:
-		j := float64(inter) / float64(q.Len()+c.Len()-inter)
-		if j < delta {
-			return 0
-		}
-		if v == sim.ThresholdJaccard {
-			return 1
-		}
-		return j
-	case sim.CutoffF1, sim.ThresholdF1:
-		f := 2 * float64(inter) / float64(q.Len()+c.Len())
-		if f < delta {
-			return 0
-		}
-		if v == sim.ThresholdF1 {
-			return 1
-		}
-		return f
-	case sim.PerfectRecall:
-		if inter == q.Len() && float64(inter)/float64(c.Len()) >= delta {
-			return 1
-		}
-		return 0
-	case sim.Exact:
-		if inter == q.Len() && inter == c.Len() {
-			return 1
-		}
-		return 0
-	default:
-		return sim.Score(v, q, c, delta)
-	}
-}
-
-// Score computes S(Q, W, T) for the whole instance, scoring input sets in
-// parallel across CPUs (the paper notes the cover-score computation
-// parallelizes; Section 5.3).
+// Score computes S(Q, W, T) for the whole instance. The per-set scores come
+// from PerSetScores's parallel pass; their weighted sum is taken in set
+// order, so the result does not depend on how many CPUs scored them.
 func (s *Scorer) Score(inst *oct.Instance, cfg oct.Config) float64 {
-	n := len(inst.Sets)
-	if n == 0 {
-		return 0
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	partial := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sum := 0.0
-			for i := w; i < n; i += workers {
-				is := inst.Sets[i]
-				_, sc := s.BestCover(cfg.Variant, is.Items, cfg.Delta0(is))
-				sum += is.Weight * sc
-			}
-			partial[w] = sum
-		}(w)
-	}
-	wg.Wait()
 	total := 0.0
-	for _, p := range partial {
-		total += p
+	for i, sc := range s.PerSetScores(inst, cfg) {
+		total += inst.Sets[i].Weight * sc
 	}
 	return total
 }
@@ -153,25 +90,19 @@ func (s *Scorer) NormalizedScore(inst *oct.Instance, cfg oct.Config) float64 {
 	return s.Score(inst, cfg) / tw
 }
 
-// PerSetScores returns, for every input set, its best similarity score.
+// PerSetScores returns, for every input set, its best similarity score,
+// scoring sets in parallel across CPUs (the paper notes the cover-score
+// computation parallelizes; Section 5.3). A worker's panic is re-raised on
+// the caller (obs.Workers), where a server's recovery can reach it.
 func (s *Scorer) PerSetScores(inst *oct.Instance, cfg oct.Config) []float64 {
-	out := make([]float64, len(inst.Sets))
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(inst.Sets) {
-		workers = len(inst.Sets)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(inst.Sets); i += workers {
-				is := inst.Sets[i]
-				_, sc := s.BestCover(cfg.Variant, is.Items, cfg.Delta0(is))
-				out[i] = sc
-			}
-		}(w)
-	}
-	wg.Wait()
+	n := len(inst.Sets)
+	out := make([]float64, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	obs.Workers(context.Background(), "tree.score", workers, func(_ context.Context, w int) {
+		for i := w; i < n; i += workers {
+			is := inst.Sets[i]
+			_, out[i] = s.BestCover(cfg.Variant, is.Items, cfg.Delta0(is))
+		}
+	})
 	return out
 }

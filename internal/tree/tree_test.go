@@ -3,6 +3,7 @@ package tree
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -323,16 +324,7 @@ func TestScorerPerSetScores(t *testing.T) {
 }
 
 func TestQuickScorerEquivalence(t *testing.T) {
-	rng := xrand.New(4242)
-	f := func(seed int64) bool {
-		r := rng.Split(seed)
-		universe := 30
-		tr := New(intset.Range(0, intset.Item(universe)))
-		for i := 0; i < 3; i++ {
-			tr.AddCategory(nil, randomSubset(r, universe, 10), "")
-		}
-		q := randomSubset(r, universe, 10)
-		delta := 0.2 + r.Float64()*0.8
+	agree := func(tr *Tree, q intset.Set, delta float64) bool {
 		sc := NewScorer(tr)
 		for _, v := range sim.Variants() {
 			_, naive := tr.BestCover(v, q, delta)
@@ -343,8 +335,49 @@ func TestQuickScorerEquivalence(t *testing.T) {
 		}
 		return true
 	}
+	// δ = 0.1+0.2 lands one ulp above J({1,2,3}, 10-item root) = 0.3; both
+	// scorers must compare within sim.Eps and agree on a cover.
+	tenth, fifth := 0.1, 0.2
+	if !agree(New(intset.Range(0, 10)), intset.New(1, 2, 3), tenth+fifth) {
+		t.Fatal("Scorer.BestCover disagrees with Tree.BestCover at δ = 0.1+0.2")
+	}
+	rng := xrand.New(4242)
+	f := func(seed int64) bool {
+		r := rng.Split(seed)
+		universe := 30
+		tr := New(intset.Range(0, intset.Item(universe)))
+		for i := 0; i < 3; i++ {
+			tr.AddCategory(nil, randomSubset(r, universe, 10), "")
+		}
+		return agree(tr, randomSubset(r, universe, 10), 0.2+r.Float64()*0.8)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScoreIndependentOfGOMAXPROCS: Score sums W(q)·score in set order, so
+// the objective is the same float64 however many workers scored the sets,
+// and equals the naive serial Tree.Score bit for bit.
+func TestScoreIndependentOfGOMAXPROCS(t *testing.T) {
+	rng := xrand.New(7)
+	universe := 300
+	tr := randomTree(rng, universe, 4, 5)
+	inst := &oct.Instance{Universe: universe}
+	for i := 0; i < 400; i++ {
+		inst.Sets = append(inst.Sets, oct.InputSet{
+			Items:  randomSubset(rng, universe, 40),
+			Weight: 0.1 + 10*rng.Float64(),
+		})
+	}
+	cfg := oct.Config{Variant: sim.CutoffJaccard, Delta: 0.05}
+	want := tr.Score(inst, cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := NewScorer(tr).Score(inst, cfg); got != want {
+			t.Fatalf("GOMAXPROCS %d: Score = %v, want %v", procs, got, want)
+		}
 	}
 }
 
