@@ -94,6 +94,15 @@ func (e *httpError) Error() string { return e.msg }
 // inline 20k-set instance, far below what would threaten the process.
 const maxBuildBody = 64 << 20
 
+// maxInlineUniverse bounds an inline instance's universe. The body bounds
+// its sets and items, but the universe is one number, and a build allocates
+// arrays of that length (~300 B of heap per item in a published build), so
+// a 163-byte body could ask for terabytes; the runtime's out-of-memory
+// error is fatal, not a recoverable panic, and kills the server. Dataset D,
+// the largest catalog, has 1.2M items; 2^21 (2.1M) leaves it 1.75×
+// headroom and keeps a build's per-item arrays near 600 MB.
+const maxInlineUniverse = 1 << 21
+
 // parseBuildSpec validates the request body (an empty one selects every
 // default) into a runnable spec. Errors are *httpError with the right client
 // status: 413 when the body's http.MaxBytesReader trips.
@@ -114,6 +123,9 @@ func (s *server) parseBuildSpec(r *http.Request) (buildSpec, error) {
 		inst, err = oct.ReadJSON(bytes.NewReader(req.Instance))
 		if err != nil {
 			return buildSpec{}, &httpError{http.StatusBadRequest, "octserve: bad instance: " + err.Error()}
+		}
+		if inst.Universe > maxInlineUniverse {
+			return buildSpec{}, &httpError{http.StatusBadRequest, fmt.Sprintf("octserve: bad instance: universe %d exceeds the inline limit of %d items", inst.Universe, maxInlineUniverse)}
 		}
 	}
 	if inst == nil {

@@ -104,6 +104,41 @@ func TestBuildEndpointValidation(t *testing.T) {
 	}
 }
 
+// TestBuildEndpointUniverseLimit: an inline instance whose universe exceeds
+// maxInlineUniverse is a 400, sync or async, before any build allocates for
+// it; the server keeps answering and keeps its snapshot. Without the bound
+// the first request below kills the process with a fatal out-of-memory
+// error.
+func TestBuildEndpointUniverseLimit(t *testing.T) {
+	s := testServer(t)
+	before := s.pub.Current().Version
+	inline := func(universe int) string {
+		return fmt.Sprintf(`{"variant":"threshold-jaccard","publish":true,"instance":{"universe":%d,`+
+			`"sets":[{"items":[0,1,2],"weight":2},{"items":[1,2,3],"weight":1}]}}`, universe)
+	}
+	for _, path := range []string{"/build", "/build?async=1"} {
+		for _, universe := range []int{1_000_000_000_000, maxInlineUniverse + 1} {
+			req := httptest.NewRequest("POST", path, strings.NewReader(inline(universe)))
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "universe") {
+				t.Fatalf("POST %s, universe %d: status %d: %s", path, universe, rec.Code, rec.Body)
+			}
+		}
+	}
+	if rec := get(t, s, "/healthz"); rec.Code != 200 {
+		t.Fatalf("/healthz after rejected builds: status %d", rec.Code)
+	}
+	if v := s.pub.Current().Version; v != before {
+		t.Fatalf("snapshot version %d after rejected builds, want %d", v, before)
+	}
+	// A small inline universe still builds and publishes.
+	resp := decodeBuild(t, postBuild(t, s, inline(4)))
+	if resp.PublishedVersion == nil || *resp.PublishedVersion != before+1 {
+		t.Fatalf("inline build published version %v, want %d", resp.PublishedVersion, before+1)
+	}
+}
+
 // TestBuildEndpointBodyLimit: a body past the http.MaxBytesReader limit that
 // handleBuild installs is a 413, and an empty body still builds the server's
 // own instance with every default.

@@ -59,18 +59,7 @@ type exactSolver struct {
 	folds           []foldRec // active folds, oldest first
 	curW            float64
 
-	best  []int
-	bestW float64
-
-	nodes  int64
-	budget int64
-	// aborted is set when the node budget runs out; the result is then the
-	// best solution found, without an optimality certificate.
-	aborted bool
-	// canceled polls the caller's done channel once per cancelCheckStride
-	// nodes (obs.CancelEveryChan); cancellation aborts the search like an
-	// exhausted budget.
-	canceled func() bool
+	searchState
 
 	// scratch reused by the bound computation: inClique marks the vertices
 	// some clique of the current cover already holds; hit[u] counts the
@@ -112,20 +101,25 @@ func solveExact(g *Hypergraph, budget int64, incumbent []int) ([]int, bool) {
 
 // solveExactN is solveExact, additionally reporting the number of search
 // nodes expanded (the cost driver the observability layer tracks) and
-// honoring an optional cancellation channel.
+// honoring an optional cancellation channel. A triangle-free graph of at
+// most 64 vertices goes to the word-row replay of the search (word.go),
+// every other graph to exactSolver; both return the same result.
 func solveExactN(g *Hypergraph, budget int64, incumbent []int, done <-chan struct{}) ([]int, bool, int64) {
+	st := newSearchState(g, budget, incumbent, done)
+	if fitsWord(g) {
+		return solveWord(g, st)
+	}
 	s := &exactSolver{
-		g:        g,
-		weights:  append([]float64(nil), g.weights...),
-		status:   make([]int8, g.n),
-		triInc:   make([]int8, len(g.tris)),
-		triDed:   make([]bool, len(g.tris)),
-		freeDeg:  make([]int32, g.n),
-		liveTri:  make([]int32, g.n),
-		budget:   budget,
-		canceled: obs.CancelEveryChan(done, cancelCheckStride),
-		inClique: make([]bool, g.n),
-		hit:      make([]int32, g.n),
+		g:           g,
+		weights:     append([]float64(nil), g.weights...),
+		status:      make([]int8, g.n),
+		triInc:      make([]int8, len(g.tris)),
+		triDed:      make([]bool, len(g.tris)),
+		freeDeg:     make([]int32, g.n),
+		liveTri:     make([]int32, g.n),
+		searchState: st,
+		inClique:    make([]bool, g.n),
+		hit:         make([]int32, g.n),
 	}
 	s.next = make([]int32, g.n+1)
 	s.prev = make([]int32, g.n+1)
@@ -137,26 +131,61 @@ func solveExactN(g *Hypergraph, budget int64, incumbent []int, done <-chan struc
 		s.freeDeg[v] = int32(len(g.adj[v]))
 		s.liveTri[v] = int32(len(g.triOf[v]))
 	}
-	if incumbent != nil && g.IsIndependent(incumbent) {
-		s.best = append([]int(nil), incumbent...)
-		s.bestW = g.SetWeight(incumbent)
-	}
 	s.search()
-	if s.best == nil {
-		s.best = []int{}
+	return s.result()
+}
+
+// searchState is the bookkeeping both searches share: the incumbent, the
+// node count against the budget, and the abort verdict.
+type searchState struct {
+	best  []int
+	bestW float64
+
+	nodes  int64
+	budget int64
+	// aborted is set when the node budget runs out; the result is then the
+	// best solution found, without an optimality certificate.
+	aborted bool
+	// canceled polls the caller's done channel once per cancelCheckStride
+	// nodes (obs.CancelEveryChan); cancellation aborts the search like an
+	// exhausted budget.
+	canceled func() bool
+}
+
+// newSearchState starts a search under budget, from the incumbent when it is
+// an independent set of g.
+func newSearchState(g *Hypergraph, budget int64, incumbent []int, done <-chan struct{}) searchState {
+	st := searchState{budget: budget, canceled: obs.CancelEveryChan(done, cancelCheckStride)}
+	if incumbent != nil && g.IsIndependent(incumbent) {
+		st.best = append([]int(nil), incumbent...)
+		st.bestW = g.SetWeight(incumbent)
 	}
-	sort.Ints(s.best)
-	return s.best, !s.aborted, s.nodes
+	return st
+}
+
+// expand counts one search node. It returns false, and marks the search
+// aborted, once the node budget is spent or the caller has canceled.
+func (st *searchState) expand() bool {
+	st.nodes++
+	if st.nodes > st.budget || st.canceled() {
+		st.aborted = true
+		return false
+	}
+	return true
+}
+
+// result is the best set found, sorted, whether it is certified optimal,
+// and the number of nodes expanded.
+func (st *searchState) result() ([]int, bool, int64) {
+	if st.best == nil {
+		st.best = []int{}
+	}
+	sort.Ints(st.best)
+	return st.best, !st.aborted, st.nodes
 }
 
 func (s *exactSolver) search() {
-	s.nodes++
-	if s.nodes > s.budget {
-		s.aborted = true
-		return
-	}
-	if s.canceled() {
-		s.aborted = true
+	if !s.expand() {
 		return
 	}
 	mark := len(s.trail)
@@ -171,7 +200,7 @@ func (s *exactSolver) search() {
 		// No free vertices: record the candidate.
 		if s.curW > s.bestW {
 			s.bestW = s.curW
-			s.best = s.resolveSolution()
+			s.best = resolveSolution(s.status, s.folds)
 		}
 		s.undo(mark)
 		return
@@ -202,18 +231,19 @@ func (s *exactSolver) search() {
 	s.undo(mark)
 }
 
-// resolveSolution materializes the current solution, replaying active folds
-// newest-first (a fold's target u is always folded later than v, so u's
-// membership is settled before v's record is visited).
-func (s *exactSolver) resolveSolution() []int {
-	in := make([]bool, s.g.n)
-	for i, st := range s.status {
+// resolveSolution materializes a search's current solution from its vertex
+// statuses and active folds, replaying the folds newest-first (a fold's
+// target u is always folded later than v, so u's membership is settled
+// before v's record is visited).
+func resolveSolution(status []int8, folds []foldRec) []int {
+	in := make([]bool, len(status))
+	for i, st := range status {
 		if st == included {
 			in[i] = true
 		}
 	}
-	for k := len(s.folds) - 1; k >= 0; k-- {
-		f := s.folds[k]
+	for k := len(folds) - 1; k >= 0; k-- {
+		f := folds[k]
 		if !in[f.u] {
 			in[f.v] = true
 		}
@@ -281,15 +311,27 @@ func (s *exactSolver) pickBranch() int {
 	best, bestKey := -1, int64(-1)
 	end := int32(s.g.n)
 	for v := s.next[end]; v != end; v = s.next[v] {
-		deg := int64(s.freeDeg[v]) + int64(s.liveTri[v])
-		// Prefer high degree; break ties toward high weight to find strong
-		// incumbents early.
-		key := deg*1_000_000 + int64(s.weights[v]*1000)
+		key := branchKey(int64(s.freeDeg[v])+int64(s.liveTri[v]), s.weights[v])
 		if key > bestKey {
 			best, bestKey = int(v), key
 		}
 	}
 	return best
+}
+
+// branchKey ranks a branching candidate by its live constraints deg, then
+// by weight, so that ties go toward heavy vertices and strong incumbents
+// turn up early. The weight term is clamped at 2^62 (weights from ≈4.6e15
+// up): unclamped, a heavy weight overflows the key below pickBranch's -1
+// floor, which then reports no free vertex and ends the search early with a
+// false optimality certificate.
+func branchKey(deg int64, w float64) int64 {
+	const maxTerm = 1 << 62
+	term := int64(maxTerm)
+	if f := w * 1000; f < maxTerm {
+		term = int64(f)
+	}
+	return deg*1_000_000 + term
 }
 
 // setStatus records v's status change on the trail and keeps its

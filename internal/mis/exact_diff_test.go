@@ -9,34 +9,69 @@ import (
 )
 
 // diffShape is one family of seeded hypergraphs the differential tests draw
-// from.
+// from. word marks the family whose graphs all take the word-row search;
+// every other family's graphs all take exactSolver.
 type diffShape struct {
 	name string
-	gen  func(rng *xrand.RNG) *Hypergraph
+	word bool
+	gen  func(rng *xrand.RNG, trial int) *Hypergraph
 }
 
 // diffShapes covers the regimes the counters and the clique bound must
 // agree on: sparse graphs (reductions and folds do most of the work),
 // triangle-dense graphs shaped like a Perfect-Recall conflict hypergraph
-// (live-triangle bookkeeping dominates and the budget runs out), and tied
-// weights (every tie-break in branching and bounding is exercised).
+// (live-triangle bookkeeping dominates and the budget runs out), tied
+// weights (every tie-break in branching and bounding is exercised), and
+// triangle-free graphs of one to 64 vertices shaped like the Exact build's
+// post-kernel components, which the word-row search takes. Their first two
+// trials are the 64- and 63-vertex edge cases of a full word.
 var diffShapes = []diffShape{
-	{"sparse", func(rng *xrand.RNG) *Hypergraph {
+	{"sparse", false, func(rng *xrand.RNG, _ int) *Hypergraph {
 		n := 30 + rng.Intn(60)
 		return shapedHypergraph(rng, n, 3*n/2, n/4, randomWeights(rng, n))
 	}},
-	{"triangle-dense", func(rng *xrand.RNG) *Hypergraph {
+	{"triangle-dense", false, func(rng *xrand.RNG, _ int) *Hypergraph {
 		n := 25 + rng.Intn(25)
 		return shapedHypergraph(rng, n, 3*n, 10*n, randomWeights(rng, n))
 	}},
-	{"tied", func(rng *xrand.RNG) *Hypergraph {
+	{"tied", false, func(rng *xrand.RNG, _ int) *Hypergraph {
 		n := 20 + rng.Intn(35)
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = float64(1 + rng.Intn(2))
-		}
-		return shapedHypergraph(rng, n, 2*n, 4*n, w)
+		return shapedHypergraph(rng, n, 2*n, 4*n, tiedWeights(rng, n))
 	}},
+	{"word", true, func(rng *xrand.RNG, trial int) *Hypergraph {
+		n := 1 + rng.Intn(64)
+		if trial < 2 {
+			n = 64 - trial
+		}
+		weights := randomWeights
+		if trial%2 == 1 {
+			weights = tiedWeights
+		}
+		return denseGraph(rng, n, 0.3+0.5*rng.Float64(), weights(rng, n))
+	}},
+}
+
+// tiedWeights draws weights from {1, 2}, so most comparisons tie.
+func tiedWeights(rng *xrand.RNG, n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(1 + rng.Intn(2))
+	}
+	return w
+}
+
+// denseGraph draws a graph with no 3-edges: every 2-edge independently
+// with probability density.
+func denseGraph(rng *xrand.RNG, n int, density float64, weights []float64) *Hypergraph {
+	g := NewHypergraph(n, weights)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Bool(density) {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	return g
 }
 
 func randomWeights(rng *xrand.RNG, n int) []float64 {
@@ -72,11 +107,14 @@ func TestSolveExactMatchesReference(t *testing.T) {
 	if testing.Short() {
 		trials = 4
 	}
-	aborted, finished := 0, 0
 	for _, sh := range diffShapes {
+		aborted, finished := 0, 0
 		rng := xrand.New(int64(len(sh.name)) * 1009)
 		for trial := 0; trial < trials; trial++ {
-			g := sh.gen(rng.Split(int64(trial)))
+			g := sh.gen(rng.Split(int64(trial)), trial)
+			if fitsWord(g) != sh.word {
+				t.Fatalf("%s/%d: %d vertices, %d triangles: word path %v, want %v", sh.name, trial, g.N(), g.Triangles(), fitsWord(g), sh.word)
+			}
 			warm := localSearch(g, solveGreedy(g), 3)
 			for _, budget := range budgets {
 				for _, inc := range [][]int{nil, warm} {
@@ -92,9 +130,9 @@ func TestSolveExactMatchesReference(t *testing.T) {
 				}
 			}
 		}
-	}
-	if aborted == 0 || finished == 0 {
-		t.Fatalf("differential covered %d aborted and %d finished searches; want both", aborted, finished)
+		if aborted == 0 || finished == 0 {
+			t.Fatalf("%s: differential covered %d aborted and %d finished searches; want both", sh.name, aborted, finished)
+		}
 	}
 }
 
@@ -117,19 +155,46 @@ func TestSolveExactMatchesReferencePRShape(t *testing.T) {
 }
 
 // TestSolveExactMatchesReferenceCanceled: a canceled search stops at the
-// same poll in both solvers and reports the same incumbent.
+// same poll in both solvers and reports the same incumbent, on exactSolver's
+// path and on the word path.
 func TestSolveExactMatchesReferenceCanceled(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
-	g := prShapedGraph(xrand.New(11))
-	for _, inc := range [][]int{nil, solveGreedy(g)} {
-		wantSet, wantOpt, wantNodes := refSolveExactN(g, 1<<40, inc, done)
-		gotSet, gotOpt, gotNodes := solveExactN(g, 1<<40, inc, done)
-		assertSameSolve(t, fmt.Sprintf("canceled/warm=%v", inc != nil), gotSet, gotOpt, gotNodes, wantSet, wantOpt, wantNodes)
-		if gotOpt || gotNodes != cancelCheckStride {
-			t.Fatalf("canceled search: optimal=%v nodes=%d, want aborted at the first poll (%d)", gotOpt, gotNodes, cancelCheckStride)
+	graphs := []struct {
+		name string
+		word bool
+		g    *Hypergraph
+	}{
+		{"pr-shape", false, prShapedGraph(xrand.New(11))},
+		{"five-cycles", true, fiveCycles(12)},
+	}
+	for _, tc := range graphs {
+		if fitsWord(tc.g) != tc.word {
+			t.Fatalf("%s: word path %v, want %v", tc.name, fitsWord(tc.g), tc.word)
+		}
+		for _, inc := range [][]int{nil, solveGreedy(tc.g)} {
+			name := fmt.Sprintf("canceled/%s/warm=%v", tc.name, inc != nil)
+			wantSet, wantOpt, wantNodes := refSolveExactN(tc.g, 1<<40, inc, done)
+			gotSet, gotOpt, gotNodes := solveExactN(tc.g, 1<<40, inc, done)
+			assertSameSolve(t, name, gotSet, gotOpt, gotNodes, wantSet, wantOpt, wantNodes)
+			if gotOpt || gotNodes != cancelCheckStride {
+				t.Fatalf("%s: optimal=%v nodes=%d, want aborted at the first poll (%d)", name, gotOpt, gotNodes, cancelCheckStride)
+			}
 		}
 	}
+}
+
+// fiveCycles is k disjoint 5-cycles of unit weight. The clique bound counts
+// three per cycle where only two fit, so it prunes nothing before the last
+// cycle is decided, and the search expands 2^(k+1)-1 nodes.
+func fiveCycles(k int) *Hypergraph {
+	g := NewHypergraph(5*k, nil)
+	for c := 0; c < k; c++ {
+		for i := 0; i < 5; i++ {
+			g.AddEdge(5*c+i, 5*c+(i+1)%5)
+		}
+	}
+	return g
 }
 
 // TestKernelizeMatchesReference: the stamped domination test fixes and

@@ -453,3 +453,40 @@ func TestSolveDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveHeavyWeightsKeepCertificate solves each graph next to a twin
+// whose weights are scaled by 1e16 or 1e17, heavy enough that an unclamped
+// branching key overflows: the twin must still be solved optimally, never
+// certified with a lighter set. Half the graphs have triangles, so both
+// search paths run.
+func TestSolveHeavyWeightsKeepCertificate(t *testing.T) {
+	rng := xrand.New(17)
+	for trial := 0; trial < 100; trial++ {
+		n := 12 + rng.Intn(30)
+		g := shapedHypergraph(rng.Split(int64(trial)), n, 2*n, trial%2*n/2, randomWeights(rng, n))
+		want := Solve(g, DefaultOptions())
+		if !want.Optimal {
+			t.Fatalf("trial %d: unscaled solve not optimal", trial)
+		}
+		for _, scale := range []float64{1e16, 1e17} {
+			twin := scaledTwin(g, scale)
+			got := Solve(twin, DefaultOptions())
+			if !twin.IsIndependent(got.Set) || !got.Optimal {
+				t.Fatalf("trial %d ×%g: set %v independent=%v optimal=%v", trial, scale, got.Set, twin.IsIndependent(got.Set), got.Optimal)
+			}
+			if w := g.SetWeight(got.Set); w < want.Weight*(1-1e-9) {
+				t.Fatalf("trial %d ×%g: certified weight %v (unscaled), optimum %v", trial, scale, w, want.Weight)
+			}
+		}
+	}
+}
+
+// scaledTwin is g with every weight multiplied by k; it shares g's edges.
+func scaledTwin(g *Hypergraph, k float64) *Hypergraph {
+	twin := *g
+	twin.weights = make([]float64, g.n)
+	for v, w := range g.weights {
+		twin.weights[v] = w * k
+	}
+	return &twin
+}

@@ -15,9 +15,10 @@ import (
 	"categorytree/internal/xrand"
 )
 
-// multiComponentGraph draws comps disjoint components, sparse or
-// triangle-dense (triangles keep the kernel from deciding them outright),
-// and scatters their vertices over the ID range with a random permutation.
+// multiComponentGraph draws comps disjoint components, sparse,
+// triangle-dense (triangles keep the kernel from deciding them outright) or
+// dense without triangles (which the word-row search takes), and scatters
+// their vertices over the ID range with a random permutation.
 func multiComponentGraph(rng *xrand.RNG, comps int) *Hypergraph {
 	type comp struct{ n, edges, tris int }
 	var specs []comp
@@ -25,8 +26,11 @@ func multiComponentGraph(rng *xrand.RNG, comps int) *Hypergraph {
 	for c := 0; c < comps; c++ {
 		n := 8 + rng.Intn(50)
 		sp := comp{n: n, edges: 3 * n / 2, tris: n / 3}
-		if rng.Bool(0.3) {
+		switch r := rng.Float64(); {
+		case r < 0.3:
 			sp = comp{n: n, edges: 3 * n, tris: 6 * n}
+		case r < 0.6:
+			sp = comp{n: n, edges: 5 * n, tris: 0}
 		}
 		specs = append(specs, sp)
 		total += n
@@ -46,6 +50,24 @@ func multiComponentGraph(rng *xrand.RNG, comps int) *Hypergraph {
 		off += sp.n
 	}
 	return g
+}
+
+// exactPaths counts the post-kernel components of g, as SolveContext cuts
+// them, that the exact search solves on the word path and on exactSolver's.
+func exactPaths(g *Hypergraph, opts Options) (word, general int) {
+	_, undecided := kernelize(g, nil)
+	sub, _ := g.Induced(undecided)
+	for _, comp := range sub.Components() {
+		cg, _ := sub.Induced(comp)
+		switch {
+		case cg.N() > opts.MaxExactComponent:
+		case fitsWord(cg):
+			word++
+		default:
+			general++
+		}
+	}
+	return word, general
 }
 
 // progressLog records the mis.solve progress stream.
@@ -80,8 +102,9 @@ func solveRecorded(t *testing.T, g *Hypergraph, opts Options) (Result, *ledger.L
 // TestSolveParallelMatchesSerial solves multi-component hypergraphs at
 // GOMAXPROCS 2, 4 and 8 and requires what GOMAXPROCS 1 returns: every Result
 // field, the ledger's record stream, and the progress sequence 0, 1, …,
-// then the completion. The option sets make some components exhaust the
-// node budget and others exceed MaxExactComponent.
+// then the completion. Each graph's components take both exact search
+// paths. The option sets make some components exhaust the node budget and
+// others exceed MaxExactComponent.
 func TestSolveParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	optSets := []Options{
@@ -96,6 +119,9 @@ func TestSolveParallelMatchesSerial(t *testing.T) {
 	rng := xrand.New(4242)
 	for trial := 0; trial < trials; trial++ {
 		g := multiComponentGraph(rng.Split(int64(trial)), 12+rng.Intn(20))
+		if word, general := exactPaths(g, DefaultOptions()); word == 0 || general == 0 {
+			t.Fatalf("trial %d: %d word-path and %d exactSolver components, want both", trial, word, general)
+		}
 		for oi, opts := range optSets {
 			runtime.GOMAXPROCS(1)
 			want, wantLed, wantProgress := solveRecorded(t, g, opts)

@@ -30,10 +30,11 @@ func DefaultOptions() Options {
 	// The node budget bounds worst-case work. Measured on a 2-vCPU Xeon VM:
 	// the Perfect-Recall build of dataset C at scale 0.1 leaves one
 	// 303-vertex component with 6357 triangles, which exhausts the budget at
-	// 100069 nodes in 1.0-1.4 s (10-14 µs per node); the 20000-set Exact
-	// SyntheticScale instance certifies optimality in 42435 nodes over its
-	// 313 post-kernel components in 0.24-0.30 s on two pool workers
-	// (0.44-0.46 s on one).
+	// 100069 nodes in 1.2-1.5 s (12-15 µs per node); the 20000-set Exact
+	// SyntheticScale instance (seed 1) certifies optimality in 42435 nodes
+	// over its 313 post-kernel components, all on the word-row search, in
+	// 0.12-0.14 s on two pool workers (0.15-0.16 s on one), of which the
+	// serial kernel before the pool takes 54-59 ms.
 	return Options{
 		NodeBudget:        100_000,
 		MaxExactComponent: 3_000,
