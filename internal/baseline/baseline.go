@@ -155,7 +155,6 @@ func buildFromItemPoints(inst *oct.Instance, p cluster.Points, opts Options) (*t
 				items[k] = intset.Item(sample[m])
 			}
 			leaf := t.AddCategory(parent, intset.New(items...), "")
-			t.AddItems(leaf, nil)
 			leaves = append(leaves, leaf)
 			leafMembers[leaf.ID] = members
 			return
@@ -174,18 +173,6 @@ func buildFromItemPoints(inst *oct.Instance, p cluster.Points, opts Options) (*t
 		build(b, t.Root(), 1)
 	}
 
-	// Restore the union invariant bottom-up.
-	var pull func(nd *tree.Node) intset.Set
-	pull = func(nd *tree.Node) intset.Set {
-		sets := []intset.Set{nd.Items}
-		for _, c := range nd.Children() {
-			sets = append(sets, pull(c))
-		}
-		nd.SetItems(intset.UnionAll(sets))
-		return nd.Items
-	}
-	pull(t.Root())
-
 	// Nearest-leaf assignment for unsampled items: average distance to a
 	// few representatives per leaf.
 	if n > len(sample) {
@@ -203,8 +190,6 @@ func buildFromItemPoints(inst *oct.Instance, p cluster.Points, opts Options) (*t
 			}
 			repIdx[leaf.ID] = m[:k]
 		}
-		// Batch per leaf: one union per leaf instead of one per item keeps
-		// the ancestor-set updates linear rather than quadratic.
 		pending := make(map[int][]intset.Item)
 		for it := 0; it < n; it++ {
 			if inSample[it] {
@@ -226,10 +211,13 @@ func buildFromItemPoints(inst *oct.Instance, p cluster.Points, opts Options) (*t
 		}
 		for _, leaf := range leaves {
 			if items := pending[leaf.ID]; len(items) > 0 {
-				t.AddItems(leaf, intset.New(items...))
+				leaf.SetItems(leaf.Items.Union(intset.New(items...)))
 			}
 		}
 	}
+	// Every item now sits in one leaf; the ancestors take their leaves'
+	// items in one bottom-up pass.
+	t.FillUnions()
 	return t, nil
 }
 

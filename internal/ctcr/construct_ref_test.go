@@ -5,7 +5,10 @@ package ctcr
 // sibling merging was indexed: Algorithm 2's Assigner (which rewrote every
 // ancestor's item set per placement), Condense with map-based indexes, and
 // the merge-scanning intermediate-category pass. construct_diff_test.go
-// runs it beside the current code and asserts identical trees.
+// runs it beside the current code and asserts identical trees. It also
+// keeps the skeleton builder as it was before the bottom-up item fill
+// (refConstruct), which TestConstructMatchesReference checks construct
+// against.
 
 import (
 	"container/heap"
@@ -13,6 +16,7 @@ import (
 	"math"
 	"sort"
 
+	"categorytree/internal/conflict"
 	"categorytree/internal/intset"
 	"categorytree/internal/ledger"
 	"categorytree/internal/obs"
@@ -871,4 +875,118 @@ func refMergeIntersectingChildren(t *tree.Tree, n *tree.Node, setFor map[int]int
 		pushPairs(mid)
 		active[mid.ID] = true
 	}
+}
+
+// refConstruct is construct as it was before the bottom-up fill: it
+// unions each destination category's items into every ancestor through
+// tree.AddItems, one call per destination, so each call that reaches the
+// root copies the root's set again.
+func refConstruct(inst *oct.Instance, cfg oct.Config, analysis *conflict.Result, selected []oct.SetID, admission bool, led *ledger.Recorder) (*tree.Tree, map[oct.SetID]*tree.Node, []oct.SetID) {
+	t := tree.New(nil)
+	catOf := make(map[oct.SetID]*tree.Node, len(selected))
+	admitted := make(map[oct.SetID]bool, len(selected))
+	admitOrder := make([]oct.SetID, 0, len(selected))
+	guardPR := admission && cfg.Variant.Base() == sim.BasePR
+	// unions tracks, per admitted set, the union of all sets on its
+	// subtree — exactly its future category contents under Perfect-Recall.
+	unions := make(map[oct.SetID]intset.Set)
+	setAt := make(map[int]oct.SetID) // node ID -> its set
+
+	// Categories in rank order so every candidate parent exists already.
+	for _, q := range selected {
+		parent := t.Root()
+		// The parent is the highest-placed admitted set q must share a
+		// branch with — i.e. among q's must-together partners ranked above
+		// q, the admitted one nearest in rank. MustT lists are sorted by
+		// rank, so the partners above q form a prefix; scanning it backwards
+		// visits candidates in exactly the order the defining rank sweep
+		// would, without touching the O(n) sets q has no must edge to.
+		partners := analysis.MustT[q]
+		qRank := analysis.RankOf[q]
+		above := sort.Search(len(partners), func(i int) bool {
+			return analysis.RankOf[partners[i]] >= qRank
+		})
+		// Placement provenance: the parent candidates are exactly the
+		// admitted-or-not partners the backwards scan inspects; the ledger
+		// record carries how many were considered and which one won.
+		scanned := 0
+		parentSet := oct.SetID(-1)
+		via := ledger.ViaRoot
+		for i := above - 1; i >= 0; i-- {
+			scanned++
+			if cand := partners[i]; admitted[cand] {
+				parent = catOf[cand]
+				parentSet = cand
+				via = ledger.ViaMustPartner
+				break
+			}
+		}
+		if guardPR && parent != t.Root() {
+			// Weigh the ancestors whose covers q's items would break
+			// (cover(a) holds iff |C(a)| ≤ |set(a)|/δ_a, since recall is
+			// perfect along a Perfect-Recall branch).
+			items := inst.Sets[q].Items
+			brokenW := 0.0
+			for a := parent; a != t.Root(); a = a.Parent() {
+				aq := setAt[a.ID]
+				sa := inst.Sets[aq]
+				limit := float64(sa.Items.Len()) / cfg.Delta0(sa)
+				before := float64(unions[aq].Len())
+				after := float64(unions[aq].UnionSize(items))
+				if before <= limit+1e-9 && after > limit+1e-9 {
+					brokenW += sa.Weight
+				}
+			}
+			if brokenW >= inst.Weight(q) {
+				led.Add(ledger.Record{Kind: ledger.KindAdmissionDrop,
+					A: int32(q), B: int32(parentSet), X: brokenW, Y: inst.Weight(q)})
+				continue // dropping q preserves more covered weight
+			}
+		}
+		led.Add(ledger.Record{Kind: ledger.KindPlace, Via: via,
+			A: int32(q), B: int32(parentSet), C: int32(scanned), X: float64(qRank)})
+		c := t.AddCategory(parent, nil, inst.Sets[q].Label)
+		catOf[q] = c
+		setAt[c.ID] = q
+		admitted[q] = true
+		admitOrder = append(admitOrder, q)
+		if guardPR {
+			unions[q] = inst.Sets[q].Items
+			for a := parent; a != t.Root(); a = a.Parent() {
+				aq := setAt[a.ID]
+				unions[aq] = unions[aq].Union(inst.Sets[q].Items)
+			}
+		}
+	}
+	selected = admitOrder
+
+	// Uncontested items: an item whose selected sets all lie on one branch
+	// goes to the deepest of their categories (lines 16-19). Contested
+	// items ("duplicates") wait for Algorithm 2.
+	owners := make(map[intset.Item][]oct.SetID)
+	for _, q := range selected {
+		for _, it := range inst.Sets[q].Items.Slice() {
+			owners[it] = append(owners[it], q)
+		}
+	}
+	// Batch items per destination category: one union per category keeps
+	// the ancestor updates linear instead of quadratic on large instances.
+	pending := make(map[int][]intset.Item)
+	nodeByID := make(map[int]*tree.Node)
+	for it, qs := range owners {
+		reps := branchReps(catOf, qs)
+		// Uncontested when the item's bound accommodates every branch that
+		// wants it; with the ubiquitous bound of 1 this is the paper's
+		// "items that only appear in sets that are covered together".
+		if len(reps) <= cfg.Bound(it) {
+			for _, rep := range reps {
+				pending[rep.ID] = append(pending[rep.ID], it)
+				nodeByID[rep.ID] = rep
+			}
+		}
+	}
+	for id, items := range pending {
+		t.AddItems(nodeByID[id], intset.New(items...))
+	}
+	return t, catOf, selected
 }

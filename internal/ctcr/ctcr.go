@@ -248,7 +248,8 @@ func Assemble(ctx context.Context, inst *oct.Instance, cfg oct.Config, analysis 
 // construct builds the tree skeleton (lines 11-19): one category per
 // selected set, parented under the highest-ranking earlier set it must share
 // a branch with, then assigns every uncontested item to its deepest relevant
-// category (descendant items propagate upward by construction).
+// category, and fills every ancestor with its descendants' items
+// (tree.FillUnions).
 //
 // For the Perfect-Recall base, an admission check guards against the
 // aggregate-precision failure the paper notes for δ < 1 ("since we did not
@@ -345,10 +346,9 @@ func construct(inst *oct.Instance, cfg oct.Config, analysis *conflict.Result, se
 			owners[it] = append(owners[it], q)
 		}
 	}
-	// Batch items per destination category: one union per category keeps
-	// the ancestor updates linear instead of quadratic on large instances.
-	pending := make(map[int][]intset.Item)
-	nodeByID := make(map[int]*tree.Node)
+	// Each destination category gets its own items, then one bottom-up
+	// fill builds every ancestor's set once.
+	pending := make(map[*tree.Node][]intset.Item)
 	for it, qs := range owners {
 		reps := branchReps(catOf, qs)
 		// Uncontested when the item's bound accommodates every branch that
@@ -356,14 +356,14 @@ func construct(inst *oct.Instance, cfg oct.Config, analysis *conflict.Result, se
 		// "items that only appear in sets that are covered together".
 		if len(reps) <= cfg.Bound(it) {
 			for _, rep := range reps {
-				pending[rep.ID] = append(pending[rep.ID], it)
-				nodeByID[rep.ID] = rep
+				pending[rep] = append(pending[rep], it)
 			}
 		}
 	}
-	for id, items := range pending {
-		t.AddItems(nodeByID[id], intset.New(items...))
+	for n, items := range pending {
+		n.SetItems(intset.New(items...))
 	}
+	t.FillUnions()
 	return t, catOf, selected
 }
 

@@ -42,6 +42,7 @@ package delta
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"categorytree/internal/conflict"
@@ -450,7 +451,7 @@ func removeSortedInt32(s []int32, v int32) []int32 {
 }
 
 func sortInt32s(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 }
 
 func sort3int32(a, b, c int32) tri {

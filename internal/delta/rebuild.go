@@ -1,10 +1,12 @@
 package delta
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"categorytree/internal/conflict"
@@ -376,15 +378,14 @@ func (e *Engine) localTriples(members []int32) []tri {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
+	slices.SortFunc(out, func(a, b tri) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
+		if c := cmp.Compare(a[1], b[1]); c != 0 {
+			return c
 		}
-		return a[2] < b[2]
+		return cmp.Compare(a[2], b[2])
 	})
 	return out
 }

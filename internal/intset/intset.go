@@ -310,11 +310,12 @@ func UnionAll(sets []Set) Set {
 	case 1:
 		return sets[0].Clone()
 	}
-	// Balanced binary merge.
+	// Balanced binary merge. Each round writes its results over the front
+	// of work: result i/2 lands at or before the pair it was read from.
 	work := make([]Set, len(sets))
 	copy(work, sets)
 	for len(work) > 1 {
-		var next []Set
+		next := work[:0]
 		for i := 0; i < len(work); i += 2 {
 			if i+1 < len(work) {
 				next = append(next, work[i].Union(work[i+1]))

@@ -68,14 +68,22 @@ func BenchmarkSolveExactTriangleDense(b *testing.B) {
 	}
 }
 
-// manyComponentsGraph mimics the conflict graph an Exact build of the
-// 20000-set SyntheticScale instance hands the solver: ~300 independent
-// components of 64 vertices at ~65% edge density and no triangles.
-func manyComponentsGraph(rng *xrand.RNG) *Hypergraph {
-	const comps, size, density = 300, 64, 0.65
-	g := NewHypergraph(comps*size, randomWeights(rng, comps*size))
-	for c := 0; c < comps; c++ {
-		off := c * size
+// componentsGraph draws comps independent components without triangles,
+// of lo to hi vertices each, with every 2-edge inside a component present
+// with probability density.
+func componentsGraph(rng *xrand.RNG, comps, lo, hi int, density float64) *Hypergraph {
+	sizes := make([]int, comps)
+	total := 0
+	for c := range sizes {
+		sizes[c] = lo
+		if hi > lo {
+			sizes[c] += rng.Intn(hi - lo + 1)
+		}
+		total += sizes[c]
+	}
+	g := NewHypergraph(total, randomWeights(rng, total))
+	off := 0
+	for _, size := range sizes {
 		for u := 0; u < size; u++ {
 			for v := u + 1; v < size; v++ {
 				if rng.Bool(density) {
@@ -83,14 +91,39 @@ func manyComponentsGraph(rng *xrand.RNG) *Hypergraph {
 				}
 			}
 		}
+		off += size
 	}
 	return g
 }
 
+// manyComponentsGraph mimics the conflict graph an Exact build of the
+// 20000-set SyntheticScale instance hands the solver: ~300 independent
+// components of 64 vertices at ~65% edge density and no triangles.
+func manyComponentsGraph(rng *xrand.RNG) *Hypergraph {
+	return componentsGraph(rng, 300, 64, 64, 0.65)
+}
+
 // BenchmarkSolveManyComponents times the whole solve pipeline on the Exact
-// instance's shape, where the components are solved in parallel.
+// instance's shape, where the components are solved in parallel on
+// one-word rows.
 func BenchmarkSolveManyComponents(b *testing.B) {
 	g := manyComponentsGraph(xrand.New(313))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := Solve(g, DefaultOptions())
+		if !res.Optimal {
+			b.Fatal("not solved to optimality")
+		}
+	}
+}
+
+// BenchmarkSolveWideComponents times the solve pipeline on the components
+// the churn workload grows past one word: a SyntheticScale group of 64 sets
+// gains sets, so its component keeps the Exact build's ~65% density at 65
+// to 100 vertices, and the word-row search takes it on two-word rows.
+func BenchmarkSolveWideComponents(b *testing.B) {
+	g := componentsGraph(xrand.New(317), 100, 65, 100, 0.65)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -102,7 +102,7 @@ func solveExact(g *Hypergraph, budget int64, incumbent []int) ([]int, bool) {
 // solveExactN is solveExact, additionally reporting the number of search
 // nodes expanded (the cost driver the observability layer tracks) and
 // honoring an optional cancellation channel. A triangle-free graph of at
-// most 64 vertices goes to the word-row replay of the search (word.go),
+// most 128 vertices goes to the word-row replay of the search (word.go),
 // every other graph to exactSolver; both return the same result.
 func solveExactN(g *Hypergraph, budget int64, incumbent []int, done <-chan struct{}) ([]int, bool, int64) {
 	st := newSearchState(g, budget, incumbent, done)

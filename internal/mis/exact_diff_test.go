@@ -22,9 +22,10 @@ type diffShape struct {
 // triangle-dense graphs shaped like a Perfect-Recall conflict hypergraph
 // (live-triangle bookkeeping dominates and the budget runs out), tied
 // weights (every tie-break in branching and bounding is exercised), and
-// triangle-free graphs of one to 64 vertices shaped like the Exact build's
-// post-kernel components, which the word-row search takes. Their first two
-// trials are the 64- and 63-vertex edge cases of a full word.
+// triangle-free graphs of one to 128 vertices shaped like the Exact build's
+// post-kernel components and the churn workload's wider ones, which the
+// word-row search takes. Their first four trials are the edge cases of the
+// row widths: 128 and 127 vertices on two words, 65 on two and 64 on one.
 var diffShapes = []diffShape{
 	{"sparse", false, func(rng *xrand.RNG, _ int) *Hypergraph {
 		n := 30 + rng.Intn(60)
@@ -39,9 +40,9 @@ var diffShapes = []diffShape{
 		return shapedHypergraph(rng, n, 2*n, 4*n, tiedWeights(rng, n))
 	}},
 	{"word", true, func(rng *xrand.RNG, trial int) *Hypergraph {
-		n := 1 + rng.Intn(64)
-		if trial < 2 {
-			n = 64 - trial
+		n := 1 + rng.Intn(128)
+		if edge := []int{128, 127, 65, 64}; trial < len(edge) {
+			n = edge[trial]
 		}
 		weights := randomWeights
 		if trial%2 == 1 {
@@ -109,11 +110,17 @@ func TestSolveExactMatchesReference(t *testing.T) {
 	}
 	for _, sh := range diffShapes {
 		aborted, finished := 0, 0
+		widths := map[int]int{}
 		rng := xrand.New(int64(len(sh.name)) * 1009)
 		for trial := 0; trial < trials; trial++ {
 			g := sh.gen(rng.Split(int64(trial)), trial)
 			if fitsWord(g) != sh.word {
 				t.Fatalf("%s/%d: %d vertices, %d triangles: word path %v, want %v", sh.name, trial, g.N(), g.Triangles(), fitsWord(g), sh.word)
+			}
+			if want := (g.N() + 63) / 64; sh.word && wordsPerRow(g) != want {
+				t.Fatalf("%s/%d: %d vertices on %d-word rows, want %d", sh.name, trial, g.N(), wordsPerRow(g), want)
+			} else if sh.word {
+				widths[want]++
 			}
 			warm := localSearch(g, solveGreedy(g), 3)
 			for _, budget := range budgets {
@@ -132,6 +139,9 @@ func TestSolveExactMatchesReference(t *testing.T) {
 		}
 		if aborted == 0 || finished == 0 {
 			t.Fatalf("%s: differential covered %d aborted and %d finished searches; want both", sh.name, aborted, finished)
+		}
+		if sh.word && (widths[1] == 0 || widths[2] == 0) {
+			t.Fatalf("%s: %d graphs on one-word rows and %d on two; want both", sh.name, widths[1], widths[2])
 		}
 	}
 }

@@ -16,9 +16,11 @@ import (
 )
 
 // multiComponentGraph draws comps disjoint components, sparse,
-// triangle-dense (triangles keep the kernel from deciding them outright) or
-// dense without triangles (which the word-row search takes), and scatters
-// their vertices over the ID range with a random permutation.
+// triangle-dense (triangles keep the kernel from deciding them outright),
+// dense without triangles (which the word-row search takes on one-word
+// rows), or wider and denser without triangles, 65 to 128 vertices (which
+// it takes on two-word rows), and scatters their vertices over the ID range
+// with a random permutation.
 func multiComponentGraph(rng *xrand.RNG, comps int) *Hypergraph {
 	type comp struct{ n, edges, tris int }
 	var specs []comp
@@ -27,10 +29,13 @@ func multiComponentGraph(rng *xrand.RNG, comps int) *Hypergraph {
 		n := 8 + rng.Intn(50)
 		sp := comp{n: n, edges: 3 * n / 2, tris: n / 3}
 		switch r := rng.Float64(); {
-		case r < 0.3:
+		case r < 0.25:
 			sp = comp{n: n, edges: 3 * n, tris: 6 * n}
-		case r < 0.6:
+		case r < 0.5:
 			sp = comp{n: n, edges: 5 * n, tris: 0}
+		case r < 0.7:
+			n = 65 + rng.Intn(64)
+			sp = comp{n: n, edges: n * n / 3, tris: 0}
 		}
 		specs = append(specs, sp)
 		total += n
@@ -53,21 +58,24 @@ func multiComponentGraph(rng *xrand.RNG, comps int) *Hypergraph {
 }
 
 // exactPaths counts the post-kernel components of g, as SolveContext cuts
-// them, that the exact search solves on the word path and on exactSolver's.
-func exactPaths(g *Hypergraph, opts Options) (word, general int) {
+// them, that the exact search solves on one-word rows, on two-word rows and
+// on exactSolver's path.
+func exactPaths(g *Hypergraph, opts Options) (oneWord, twoWords, general int) {
 	_, undecided := kernelize(g, nil)
 	sub, _ := g.Induced(undecided)
 	for _, comp := range sub.Components() {
 		cg, _ := sub.Induced(comp)
 		switch {
 		case cg.N() > opts.MaxExactComponent:
-		case fitsWord(cg):
-			word++
-		default:
+		case !fitsWord(cg):
 			general++
+		case wordsPerRow(cg) == 1:
+			oneWord++
+		default:
+			twoWords++
 		}
 	}
-	return word, general
+	return oneWord, twoWords, general
 }
 
 // progressLog records the mis.solve progress stream.
@@ -102,9 +110,9 @@ func solveRecorded(t *testing.T, g *Hypergraph, opts Options) (Result, *ledger.L
 // TestSolveParallelMatchesSerial solves multi-component hypergraphs at
 // GOMAXPROCS 2, 4 and 8 and requires what GOMAXPROCS 1 returns: every Result
 // field, the ledger's record stream, and the progress sequence 0, 1, …,
-// then the completion. Each graph's components take both exact search
-// paths. The option sets make some components exhaust the node budget and
-// others exceed MaxExactComponent.
+// then the completion. Each graph's components take both row widths of the
+// word-row search and exactSolver's path. The option sets make some
+// components exhaust the node budget and others exceed MaxExactComponent.
 func TestSolveParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	optSets := []Options{
@@ -119,8 +127,8 @@ func TestSolveParallelMatchesSerial(t *testing.T) {
 	rng := xrand.New(4242)
 	for trial := 0; trial < trials; trial++ {
 		g := multiComponentGraph(rng.Split(int64(trial)), 12+rng.Intn(20))
-		if word, general := exactPaths(g, DefaultOptions()); word == 0 || general == 0 {
-			t.Fatalf("trial %d: %d word-path and %d exactSolver components, want both", trial, word, general)
+		if one, two, general := exactPaths(g, DefaultOptions()); one == 0 || two == 0 || general == 0 {
+			t.Fatalf("trial %d: %d one-word, %d two-word and %d exactSolver components, want each", trial, one, two, general)
 		}
 		for oi, opts := range optSets {
 			runtime.GOMAXPROCS(1)

@@ -119,8 +119,8 @@ func (t *Tree) Len() int { return len(t.nodes) }
 
 // AddCategory creates a new category with the given items under parent
 // (the root if parent is nil). Ancestor item sets are NOT updated
-// automatically; use AddItems or rely on construction order. It panics if
-// parent belongs to a different tree.
+// automatically; use AddItems, FillUnions or rely on construction order.
+// It panics if parent belongs to a different tree.
 //
 //oct:ctor
 func (t *Tree) AddCategory(parent *Node, items intset.Set, label string) *Node {
@@ -140,37 +140,62 @@ func (t *Tree) AddCategory(parent *Node, items intset.Set, label string) *Node {
 // AddItems inserts items into n and every ancestor of n, preserving the
 // union invariant. The walk stops at the first node that already contains
 // every item: under the union invariant the remaining ancestors are
-// supersets of that node, so they contain the items too. Near the root —
-// where category construction lands most of its calls once the item pool
-// has accumulated — this replaces an O(|root|) copy per level with a few
-// binary probes.
+// supersets of that node, so they contain the items too. It suits one
+// change to a finished tree (Reparent uses it); a builder that places
+// items at many categories calls FillUnions once instead, since each
+// AddItems call that reaches the root copies the root's set.
 //
 //oct:ctor
 func (t *Tree) AddItems(n *Node, items intset.Set) {
 	for cur := n; cur != nil; cur = cur.parent {
-		if containsAll(cur.Items, items) {
+		if items.SubsetOf(cur.Items) {
 			return
 		}
 		cur.Items = cur.Items.Union(items)
 	}
 }
 
-// containsAll reports items ⊆ s, probing per item for small inputs (the
-// construct hot path adds catalog sets of a handful of items) and merge-
-// scanning otherwise.
-func containsAll(s, items intset.Set) bool {
-	if len(items) > len(s) {
-		return false
+// FillUnions sets every category's items to the union of its own items and
+// its children's, in one post-order pass, so the whole tree meets the
+// union invariant. A builder sets each category's own items (the items it
+// is the most specific category for) and calls FillUnions once: every
+// category's set is then built once, where an AddItems call per category
+// copies each ancestor's set again. A category with no items of its own
+// and one non-empty child shares that child's set (sets are never mutated
+// in place).
+//
+//oct:ctor
+func (t *Tree) FillUnions() {
+	fillUnion(t.root, nil)
+}
+
+// fillUnion fills n's subtree, children first, and returns the scratch
+// slice of input sets for reuse.
+//
+//oct:ctor
+func fillUnion(n *Node, sets []intset.Set) []intset.Set {
+	for _, c := range n.children {
+		sets = fillUnion(c, sets)
 	}
-	if len(items) <= 8 {
-		for _, v := range items {
-			if !s.Contains(v) {
-				return false
-			}
+	sets = sets[:0]
+	if len(n.Items) > 0 {
+		sets = append(sets, n.Items)
+	}
+	for _, c := range n.children {
+		if len(c.Items) > 0 {
+			sets = append(sets, c.Items)
 		}
-		return true
 	}
-	return items.SubsetOf(s)
+	switch len(sets) {
+	case 0:
+	case 1:
+		n.Items = sets[0]
+	case 2:
+		n.Items = sets[0].Union(sets[1])
+	default:
+		n.Items = intset.UnionAll(sets)
+	}
+	return sets
 }
 
 // RemoveItems deletes items from n and every descendant of n. Ancestors are

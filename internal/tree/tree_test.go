@@ -148,6 +148,40 @@ func TestAddItemsMaintainsInvariant(t *testing.T) {
 	}
 }
 
+// TestFillUnions: one bottom-up pass gives every category the union of its
+// own items and its children's, through chains, wide nodes, overlapping
+// children and an internal node with items of its own, and leaves a
+// subtree without items empty.
+func TestFillUnions(t *testing.T) {
+	tr := New(nil)
+	c1 := tr.AddCategory(nil, nil, "C1")
+	c3 := tr.AddCategory(c1, intset.New(a, b), "C3")
+	tr.AddCategory(c1, intset.New(b, c), "C4")
+	tr.AddCategory(c1, intset.New(d), "C5")
+	chain := tr.AddCategory(nil, intset.New(e), "chain")
+	mid := tr.AddCategory(chain, nil, "mid")
+	tr.AddCategory(mid, intset.New(f, g), "tip")
+	empty := tr.AddCategory(nil, nil, "empty")
+	tr.AddCategory(empty, nil, "empty-child")
+	tr.FillUnions()
+
+	for n, want := range map[*Node]intset.Set{
+		tr.Root(): intset.New(a, b, c, d, e, f, g),
+		c1:        intset.New(a, b, c, d),
+		c3:        intset.New(a, b),
+		chain:     intset.New(e, f, g),
+		mid:       intset.New(f, g),
+		empty:     nil,
+	} {
+		if !n.Items.Equal(want) {
+			t.Fatalf("%s: items %v, want %v", n.Label, n.Items, want)
+		}
+	}
+	if err := tr.Validate(oct.Config{DefaultItemBound: 2}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRemoveItemsRecurses(t *testing.T) {
 	tr := buildT1()
 	c1 := tr.Root().Children()[0]
