@@ -99,8 +99,8 @@ explain-smoke:
 	$(GO) run ./cmd/octexplain trace $(EXPLAIN_OUT)/delta.json > $(EXPLAIN_OUT)/trace.txt
 	$(GO) run ./cmd/octexplain diff $(EXPLAIN_OUT)/full.json $(EXPLAIN_OUT)/delta.json | tee $(EXPLAIN_OUT)/diff.txt
 
-# The past-the-ceiling CCT run: a 50k-set synthetic build through the
-# scaled clustering strategies plus their micro-benchmarks. SCALEFLAGS=-short
+# The past-the-ceiling CCT run: a 50k-set synthetic build, which clusters on
+# the kNN graph, plus that clusterer's micro-benchmark. SCALEFLAGS=-short
 # shrinks the instances to the cluster.MaxPoints+1 boundary.
 SCALEFLAGS ?=
 scale-smoke:

@@ -168,9 +168,10 @@ func BenchmarkCCTBuild(b *testing.B) {
 }
 
 // BenchmarkCCTScale is the past-the-ceiling acceptance benchmark: a full
-// CCT build over the 50,000-set synthetic scale instance through the auto
-// strategy, which must route around the exact path's O(n²) distance matrix
-// (a 50k matrix alone would be 20 GB — watch bytes/op stay far below n²).
+// CCT build over the 50,000-set synthetic scale instance, whose clustering
+// must route around the exact path's O(n²) distance matrix through the kNN
+// graph (a 50k matrix alone would be 20 GB — watch bytes/op stay far below
+// n²).
 // -short shrinks the instance to the cluster.MaxPoints+1 boundary, the
 // smallest size where the scaled path engages.
 func BenchmarkCCTScale(b *testing.B) {

@@ -32,13 +32,6 @@ type buildRequest struct {
 	Variant string `json:"variant"`
 	// Delta overrides the server's threshold δ (0 keeps the default).
 	Delta float64 `json:"delta"`
-	// ClusterStrategy selects CCT's clustering path: "auto" (default),
-	// "exact", "sampled", or "approx". Ignored by CTCR.
-	ClusterStrategy string `json:"cluster_strategy"`
-	// ClusterSampleSize and ClusterNeighbors tune the sampled/approx
-	// strategies (0 keeps the cluster package defaults).
-	ClusterSampleSize int `json:"cluster_sample_size"`
-	ClusterNeighbors  int `json:"cluster_neighbors"`
 	// Trace requests a Chrome trace_event JSON of the build's stages in the
 	// response.
 	Trace bool `json:"trace"`
@@ -105,10 +98,14 @@ const maxInlineUniverse = 1 << 21
 
 // parseBuildSpec validates the request body (an empty one selects every
 // default) into a runnable spec. Errors are *httpError with the right client
-// status: 413 when the body's http.MaxBytesReader trips.
+// status: 413 when the body's http.MaxBytesReader trips, 400 for a field
+// buildRequest does not have, so a misspelt or retired option fails instead
+// of building with the default.
 func (s *server) parseBuildSpec(r *http.Request) (buildSpec, error) {
 	var req buildRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -143,16 +140,6 @@ func (s *server) parseBuildSpec(r *http.Request) (buildSpec, error) {
 	if req.Delta != 0 {
 		cfg.Delta = req.Delta
 	}
-	strategy, err := oct.ParseClusterStrategy(req.ClusterStrategy)
-	if err != nil {
-		return buildSpec{}, &httpError{http.StatusBadRequest, "octserve: " + err.Error()}
-	}
-	cfg.ClusterStrategy = strategy
-	if req.ClusterSampleSize < 0 || req.ClusterNeighbors < 0 {
-		return buildSpec{}, &httpError{http.StatusBadRequest, "octserve: cluster_sample_size and cluster_neighbors must be non-negative"}
-	}
-	cfg.ClusterSampleSize = req.ClusterSampleSize
-	cfg.ClusterNeighbors = req.ClusterNeighbors
 
 	switch req.Algorithm {
 	case "", "ctcr":

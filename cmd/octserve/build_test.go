@@ -159,27 +159,30 @@ func TestBuildEndpointBodyLimit(t *testing.T) {
 	}
 }
 
-// TestBuildEndpointClusterStrategy covers the /build cluster_strategy knob:
-// a named strategy routes CCT's clustering stage (visible in the
-// request-scoped stage timers), an unknown one is a 400, and negative
-// tuning knobs are rejected before the build starts.
-func TestBuildEndpointClusterStrategy(t *testing.T) {
+// TestBuildEndpointUnknownFields: a body field buildRequest does not have,
+// retired or misspelt, is a 400 naming it, and the snapshot stays put; an
+// empty body and the benchmark's body shape still build.
+func TestBuildEndpointUnknownFields(t *testing.T) {
 	s := testServer(t)
-	resp := decodeBuild(t, postBuild(t, s, `{"algorithm":"cct","cluster_strategy":"sampled","cluster_sample_size":1}`))
-	if resp.Algorithm != "cct" {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if resp.Stages.Timers["cluster.sampled"].Count != 1 {
-		t.Fatalf("sampled strategy did not run the sampled clusterer: %+v", resp.Stages.Timers)
-	}
-	for _, body := range []string{
-		`{"algorithm":"cct","cluster_strategy":"nope"}`,
-		`{"algorithm":"cct","cluster_sample_size":-1}`,
-		`{"algorithm":"cct","cluster_neighbors":-1}`,
+	before := s.pub.Current().Version
+	for _, tc := range []struct{ body, field string }{
+		{`{"algorithm":"cct","cluster_strategy":"exact","publish":true}`, "cluster_strategy"},
+		{`{"algorithm":"cct","pubilsh":true}`, "pubilsh"},
 	} {
-		if rec := postBuild(t, s, body); rec.Code != 400 {
-			t.Fatalf("%s: status %d, want 400", body, rec.Code)
+		rec := postBuild(t, s, tc.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.field) {
+			t.Fatalf("%s: status %d: %s, want a 400 naming %q", tc.body, rec.Code, rec.Body, tc.field)
 		}
+	}
+	if v := s.pub.Current().Version; v != before {
+		t.Fatalf("snapshot version %d after rejected builds, want %d", v, before)
+	}
+	if resp := decodeBuild(t, postBuild(t, s, "")); resp.Algorithm != "ctcr" {
+		t.Fatalf("empty body built %+v", resp)
+	}
+	body := `{"algorithm":"ctcr","variant":"threshold-jaccard","delta":0.8,"instance":` + instanceJSON(t, 20) + `}`
+	if resp := decodeBuild(t, postBuild(t, s, body)); resp.Sets != 20 || resp.Variant != "threshold-jaccard" {
+		t.Fatalf("benchmark-shaped body built %+v", resp)
 	}
 }
 

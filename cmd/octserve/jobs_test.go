@@ -254,7 +254,7 @@ func TestGracefulShutdownCancelsJobs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	// An exact clustering over 900 disjoint sets keeps the build busy long
 	// enough (hundreds of merge-loop iterations) that Close() lands mid-build.
-	id := startAsync(t, ts, fmt.Sprintf(`{"algorithm":"cct","cluster_strategy":"exact","instance":%s}`, instanceJSON(t, 900)))
+	id := startAsync(t, ts, fmt.Sprintf(`{"algorithm":"cct","instance":%s}`, instanceJSON(t, 900)))
 	s.Close()
 
 	v := waitJob(t, ts, id)

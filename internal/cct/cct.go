@@ -90,10 +90,11 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 	embedDur := esp.End()
 	tick(1)
 
-	// Lines 2-3: dendrogram → tree skeleton. The strategy dispatch is what
-	// lets CCT scale past cluster.MaxPoints (see clusterDendrogram).
+	// Lines 2-3: dendrogram → tree skeleton. Inputs that fit
+	// cluster.MaxPoints take the exact NN-chain; larger ones merge along a
+	// kNN graph instead of the O(n²) distance matrix.
 	lsp, lctx := span.ChildContext(ctx, "cluster")
-	dend, err := clusterDendrogram(lctx, vecs, cfg)
+	dend, err := cluster.ApproxAgglomerativeContext(lctx, vecs, cluster.ApproxOptions{})
 	if err != nil {
 		lsp.End()
 		span.EndErr(err)
@@ -144,26 +145,6 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 			Total:    total,
 		},
 	}, nil
-}
-
-// clusterDendrogram runs the clustering stage under the configured
-// strategy. Exact preserves the historical contract (inputs beyond
-// cluster.MaxPoints are refused); sampled and approx remove the ceiling;
-// auto is approx, whose internal fallback takes the exact NN-chain whenever
-// the input fits the distance matrix — so small instances behave exactly as
-// before regardless of strategy.
-func clusterDendrogram(ctx context.Context, vecs []cluster.SparseVec, cfg oct.Config) (*cluster.Dendrogram, error) {
-	switch cfg.ClusterStrategy {
-	case oct.ClusterExact:
-		return cluster.AgglomerativeContext(ctx, cluster.NewSparsePoints(vecs))
-	case oct.ClusterSampled:
-		return cluster.SampledContext(ctx, vecs, cluster.SampledOptions{K: cfg.ClusterSampleSize})
-	case oct.ClusterApprox, oct.ClusterAuto:
-		return cluster.ApproxAgglomerativeContext(ctx, vecs, cluster.ApproxOptions{K: cfg.ClusterNeighbors})
-	default:
-		// Unreachable: cfg.Validate rejected unknown strategies above.
-		return nil, fmt.Errorf("cct: unknown cluster strategy %q", cfg.ClusterStrategy)
-	}
 }
 
 // Embed computes the CCT embeddings of every input set (exported for the

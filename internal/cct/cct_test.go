@@ -2,6 +2,7 @@ package cct
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"categorytree/internal/cluster"
@@ -203,21 +204,17 @@ func groupedInstance(r *xrand.RNG, n int) *oct.Instance {
 	return inst
 }
 
-// TestAutoScalesPastMaxPoints pins the boundary contract of the scaled
-// clustering paths: at cluster.MaxPoints+1 sets the exact strategy still
-// refuses, while the default auto strategy routes around the O(n²) matrix
-// and builds a valid tree over every set.
+// TestAutoScalesPastMaxPoints pins the boundary contract of the clustering
+// stage: at cluster.MaxPoints+1 sets, where the exact NN-chain refuses, CCT
+// routes around the O(n²) matrix on its own and builds a valid tree over
+// every set.
 func TestAutoScalesPastMaxPoints(t *testing.T) {
 	n := cluster.MaxPoints + 1
 	inst := groupedInstance(xrand.New(4), n)
-	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.7, ClusterStrategy: oct.ClusterExact}
-	if _, err := Build(inst, cfg); err == nil {
-		t.Fatal("exact strategy should still refuse past cluster.MaxPoints")
-	}
-	cfg.ClusterStrategy = oct.ClusterAuto
+	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.7}
 	res, err := Build(inst, cfg)
 	if err != nil {
-		t.Fatalf("auto strategy at MaxPoints+1: %v", err)
+		t.Fatalf("build at MaxPoints+1: %v", err)
 	}
 	if res.Dendrogram.Leaves != n {
 		t.Fatalf("dendrogram has %d leaves, want %d", res.Dendrogram.Leaves, n)
@@ -227,29 +224,24 @@ func TestAutoScalesPastMaxPoints(t *testing.T) {
 	}
 }
 
-// TestClusterStrategiesAgreeOnSmallInput: below the matrix bound every
-// strategy resolves to the exact NN-chain (auto/approx by fallback, sampled
-// because k ≥ n), so all four must build the same tree.
-func TestClusterStrategiesAgreeOnSmallInput(t *testing.T) {
-	inst := randomInstance(xrand.New(11), 20, 30)
-	base := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.7}
-	ref, err := Build(inst, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refScore := ref.Tree.Score(inst, base)
-	for _, s := range []oct.ClusterStrategy{oct.ClusterExact, oct.ClusterSampled, oct.ClusterApprox} {
-		cfg := base
-		cfg.ClusterStrategy = s
-		res, err := Build(inst, cfg)
-		if err != nil {
-			t.Fatalf("strategy %q: %v", s, err)
-		}
-		if got := res.Tree.Score(inst, cfg); got != refScore {
-			t.Fatalf("strategy %q score %v, auto score %v", s, got, refScore)
-		}
-		if sa, sb := ref.Tree.ComputeStats(), res.Tree.ComputeStats(); sa != sb {
-			t.Fatalf("strategy %q stats %+v, auto stats %+v", s, sb, sa)
+// TestExactDendrogramBelowMaxPoints: up to cluster.MaxPoints sets, CCT's
+// skeleton is the exact average-linkage dendrogram of its embeddings.
+func TestExactDendrogramBelowMaxPoints(t *testing.T) {
+	rng := xrand.New(11)
+	for _, inst := range []*oct.Instance{randomInstance(rng, 20, 30), groupedInstance(rng, 600)} {
+		for _, v := range []sim.Variant{sim.ThresholdJaccard, sim.CutoffF1, sim.PerfectRecall} {
+			cfg := oct.Config{Variant: v, Delta: 0.7}
+			res, err := Build(inst, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := cluster.Agglomerative(cluster.NewSparsePoints(Embed(inst, cfg)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Dendrogram, want) {
+				t.Fatalf("%d sets, %v: CCT's dendrogram differs from cluster.Agglomerative's", inst.N(), v)
+			}
 		}
 	}
 }

@@ -32,8 +32,8 @@ type ApproxOptions struct {
 	// differential suite's parity mode) at O(n²) cost.
 	K int
 	// Force runs the graph path even when n ≤ MaxPoints. Without it,
-	// inputs that fit the exact NN-chain take the exact path — that
-	// fallback is what makes the approx strategy safe as a default.
+	// inputs that fit the exact NN-chain take the exact path, so CCT's
+	// trees below the bound are the exact average-linkage ones.
 	Force bool
 }
 

@@ -6,8 +6,8 @@ import (
 	"categorytree/internal/xrand"
 )
 
-// The large-n clustering paths, timed in isolation (the end-to-end scale
-// run lives in the repository root's BenchmarkCCTScale). Both operate well
+// The large-n clustering path, timed in isolation (the end-to-end scale
+// run lives in the repository root's BenchmarkCCTScale). It operates well
 // past MaxPoints, where the exact NN-chain cannot run at all.
 
 // benchVecs mimics CCT's set embeddings at scale: dimension space the size
@@ -34,21 +34,6 @@ func benchVecs(n int) []SparseVec {
 		vecs[i] = v
 	}
 	return vecs
-}
-
-func BenchmarkSampledLargeN(b *testing.B) {
-	n := 20000
-	if testing.Short() {
-		n = MaxPoints + 1
-	}
-	vecs := benchVecs(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Sampled(vecs, SampledOptions{K: 512, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkApproxLargeN(b *testing.B) {

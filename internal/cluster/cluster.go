@@ -125,8 +125,9 @@ func sortedKeys(m map[int]bool) []int {
 }
 
 // MaxPoints bounds the O(n²) distance matrix; beyond it Agglomerative
-// refuses rather than exhausting memory (callers sample representatives
-// instead, as the IC-S/IC-Q baselines do for large item repositories).
+// refuses rather than exhausting memory. ApproxAgglomerativeContext clusters
+// larger inputs on a kNN graph; the IC-S/IC-Q baselines sample their item
+// repositories down to the bound instead.
 const MaxPoints = 12000
 
 // Agglomerative clusters the points bottom-up with average linkage and
@@ -153,7 +154,7 @@ func AgglomerativeContext(ctx context.Context, p Points) (*Dendrogram, error) {
 		return nil, fmt.Errorf("cluster: no points")
 	}
 	if n > MaxPoints {
-		return nil, fmt.Errorf("cluster: %d points exceed the %d-point matrix bound; sample representatives first", n, MaxPoints)
+		return nil, fmt.Errorf("cluster: %d points exceed the %d-point matrix bound; cluster them with ApproxAgglomerativeContext", n, MaxPoints)
 	}
 	sp, ctx := obs.StartSpanContext(ctx, "cluster.agglomerative")
 	defer sp.End()

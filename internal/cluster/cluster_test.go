@@ -77,9 +77,8 @@ func TestAgglomerativeSingleAndEmpty(t *testing.T) {
 
 // TestAgglomerativeTooManyPoints pins the exact path's unchanged contract:
 // the O(n²) matrix bound still refuses oversized inputs. Scaling past the
-// bound is the job of Sampled/ApproxAgglomerative — cct.BuildContext in
-// auto mode routes through them and succeeds at MaxPoints+1 (covered in
-// internal/cct's boundary test).
+// bound is the job of ApproxAgglomerative — cct.BuildContext routes through
+// it and succeeds at MaxPoints+1 (covered in internal/cct's boundary test).
 func TestAgglomerativeTooManyPoints(t *testing.T) {
 	big := make(linePoints, MaxPoints+1)
 	if _, err := Agglomerative(big); err == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -147,6 +148,62 @@ func assertSameResult(t *testing.T, name string, n int, ref *refResult, got *Res
 				t.Fatalf("%s: MustCoverTogether(%d, %d) = %v", name, a, b, got.MustCoverTogether(ai, bi))
 			}
 		}
+	}
+}
+
+// TestCoverPairMatchesReference: coverPair, deciding on pairMargins' signs,
+// gives refCoverPair's decisions over a grid of set sizes, overlaps, bound-1
+// overlaps and thresholds, drifted ones (0.1+0.2, 0.7+0.1, one ulp off a
+// tenth) included, where ceilEps, floorEps and the Perfect-Recall product
+// sit on an integer boundary.
+func TestCoverPairMatchesReference(t *testing.T) {
+	deltas := []float64{0.1 + 0.2, 0.7 + 0.1, 1 - 0.9, 3 * 0.1}
+	for k := 1; k <= 10; k++ {
+		d := float64(k) / 10
+		deltas = append(deltas, d, math.Nextafter(d, 0), math.Nextafter(d, 2))
+	}
+	deltas = append(deltas, 0.25, 0.55, 2.0/3)
+	// Perfect-Recall reads only δ_hi, and Exact no δ at all.
+	modes := []struct {
+		base       sim.Base
+		exact      bool
+		hiDs, loDs []float64
+	}{
+		{sim.BaseJaccard, false, deltas, deltas},
+		{sim.BaseF1, false, deltas, deltas},
+		{sim.BasePR, false, deltas, deltas[:1]},
+		{sim.BasePR, true, deltas[:1], deltas[:1]},
+	}
+	cases, diffs := 0, 0
+	for hiLen := 1; hiLen <= 24; hiLen++ {
+		for loLen := 1; loLen <= hiLen; loLen++ {
+			for inter := 0; inter <= loLen; inter++ {
+				for _, inter1 := range []int{0, 1, inter / 2, inter} {
+					if inter1 > inter {
+						continue
+					}
+					for _, m := range modes {
+						for _, dHi := range m.hiDs {
+							for _, dLo := range m.loDs {
+								cases++
+								got := coverPair(pairMargins(hiLen, loLen, inter, inter1, m.base, dHi, dLo, m.exact))
+								want := refCoverPair(hiLen, loLen, inter, inter1, m.base, dHi, dLo, m.exact)
+								if got != want {
+									diffs++
+									if diffs <= 5 {
+										t.Errorf("coverPair(pairMargins(%d, %d, %d, %d, base %d, δ %v/%v, exact %v)) = %+v, reference %+v",
+											hiLen, loLen, inter, inter1, m.base, dHi, dLo, m.exact, got, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if diffs > 0 {
+		t.Fatalf("%d of %d cases differ from the reference", diffs, cases)
 	}
 }
 

@@ -6,7 +6,8 @@ package conflict
 // slices concatenated and sorted globally, pair-membership maps behind
 // IsConflict2/MustCoverTogether, and triples deduplicated through a seen
 // map. analyze_diff_test.go runs it beside AnalyzeContext and asserts
-// identical results.
+// identical results. Its pair test, refCoverPair, is the pair test as it
+// was before coverPair decided on pairMargins' signs.
 
 import (
 	"context"
@@ -140,7 +141,7 @@ func refAnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, 
 						if less(inst, bi, ai) {
 							hi, lo = bi, ai
 						}
-						pc := coverPair(inst.Sets[hi].Items.Len(), inst.Sets[lo].Items.Len(), inter, inter1,
+						pc := refCoverPair(inst.Sets[hi].Items.Len(), inst.Sets[lo].Items.Len(), inter, inter1,
 							base, cfg.Delta0(inst.Sets[hi]), cfg.Delta0(inst.Sets[lo]), exact)
 						classified := !pc.Separately
 						if classified {
@@ -313,4 +314,38 @@ func refSortPairs(ps [][2]oct.SetID) {
 		}
 		return ps[i][1] < ps[j][1]
 	})
+}
+
+// refCoverPair is the pair test as it was before coverPair decided on
+// pairMargins' signs: the four tests written out as comparisons.
+func refCoverPair(hiLen, loLen, inter, inter1 int, base sim.Base, deltaHi, deltaLo float64, exact bool) PairCover {
+	var pc PairCover
+	switch {
+	case exact:
+		pc.Together = inter == loLen // lo ⊆ hi
+		pc.Separately = inter1 == 0
+	case base == sim.BasePR:
+		union := hiLen + loLen - inter
+		pc.Together = float64(hiLen) >= deltaHi*float64(union)
+		pc.Separately = inter1 == 0
+	case base == sim.BaseJaccard:
+		y2 := ceilEps(deltaLo*float64(loLen)) - inter
+		if y2 < 0 {
+			y2 = 0
+		}
+		pc.Together = float64(y2) <= float64(hiLen)*(1-deltaHi)/deltaHi
+		x1 := minInt(floorEps(float64(hiLen)*(1-deltaHi)), inter1)
+		x2 := minInt(floorEps(float64(loLen)*(1-deltaLo)), inter1)
+		pc.Separately = inter1 <= x1+x2
+	default: // BaseF1
+		y2 := ceilEps(float64(loLen)*deltaLo/(2-deltaLo)) - inter
+		if y2 < 0 {
+			y2 = 0
+		}
+		pc.Together = float64(y2) <= float64(hiLen)*2*(1-deltaHi)/deltaHi
+		x1 := minInt(floorEps(float64(hiLen)*2*(1-deltaHi)/(2-deltaHi)), inter1)
+		x2 := minInt(floorEps(float64(loLen)*2*(1-deltaLo)/(2-deltaLo)), inter1)
+		pc.Separately = inter1 <= x1+x2
+	}
+	return pc
 }

@@ -148,8 +148,8 @@ func CoverPair(inst *oct.Instance, cfg oct.Config, a, b oct.SetID) PairCover {
 	if less(inst, b, a) {
 		hi, lo = b, a
 	}
-	return coverPair(inst.Sets[hi].Items.Len(), inst.Sets[lo].Items.Len(), inter, inter1,
-		cfg.Variant.Base(), cfg.Delta0(inst.Sets[hi]), cfg.Delta0(inst.Sets[lo]), cfg.Variant == sim.Exact)
+	return coverPair(pairMargins(inst.Sets[hi].Items.Len(), inst.Sets[lo].Items.Len(), inter, inter1,
+		cfg.Variant.Base(), cfg.Delta0(inst.Sets[hi]), cfg.Delta0(inst.Sets[lo]), cfg.Variant == sim.Exact))
 }
 
 // less orders set IDs by the CTCR ranking criteria.
@@ -164,58 +164,36 @@ func less(inst *oct.Instance, a, b oct.SetID) bool {
 	return a < b
 }
 
-// coverPair runs the size-only pair tests. hiLen ≥ loLen by ranking; inter
-// is |I|, inter1 is |I₁| (bound-1 shared items).
+// coverPair decides the pair tests from their pairMargins margins: a test
+// passes when its margin is non-negative, so a ledger witness's signs are
+// the decision. Callers write coverPair(pairMargins(...)); a wrapper taking
+// pairMargins' eight arguments would be too costly to inline, and the pair
+// would pay a second call.
 //
 //oct:hotpath evaluated once per intersecting pair; must not allocate
-func coverPair(hiLen, loLen, inter, inter1 int, base sim.Base, deltaHi, deltaLo float64, exact bool) PairCover {
-	var pc PairCover
-	switch {
-	case exact:
-		pc.Together = inter == loLen // lo ⊆ hi
-		pc.Separately = inter1 == 0
-	case base == sim.BasePR:
-		union := hiLen + loLen - inter
-		pc.Together = float64(hiLen) >= deltaHi*float64(union)
-		pc.Separately = inter1 == 0
-	case base == sim.BaseJaccard:
-		y2 := ceilEps(deltaLo*float64(loLen)) - inter
-		if y2 < 0 {
-			y2 = 0
-		}
-		pc.Together = float64(y2) <= float64(hiLen)*(1-deltaHi)/deltaHi
-		x1 := minInt(floorEps(float64(hiLen)*(1-deltaHi)), inter1)
-		x2 := minInt(floorEps(float64(loLen)*(1-deltaLo)), inter1)
-		pc.Separately = inter1 <= x1+x2
-	default: // BaseF1
-		y2 := ceilEps(float64(loLen)*deltaLo/(2-deltaLo)) - inter
-		if y2 < 0 {
-			y2 = 0
-		}
-		pc.Together = float64(y2) <= float64(hiLen)*2*(1-deltaHi)/deltaHi
-		x1 := minInt(floorEps(float64(hiLen)*2*(1-deltaHi)/(2-deltaHi)), inter1)
-		x2 := minInt(floorEps(float64(loLen)*2*(1-deltaLo)/(2-deltaLo)), inter1)
-		pc.Separately = inter1 <= x1+x2
-	}
-	return pc
+func coverPair(together, separately float64) PairCover {
+	return PairCover{Together: together >= 0, Separately: separately >= 0}
 }
 
-// pairMargins mirrors coverPair's arithmetic and returns the signed
-// distance of each coverability test from its threshold, in the test's
-// native item units: a non-negative together margin means the pair passed
-// the together test with that much slack, a negative one that it missed by
-// that much (likewise for separately). The margins are the δ-margin
-// witnesses the decision ledger stores per conflict edge; they are computed
-// only while a recorder is attached, off the pair-enumeration hot path.
+// pairMargins runs the size-only pair tests and returns the signed
+// distance of each from its threshold, in the test's native item units: a
+// non-negative together margin means the pair passes the together test with
+// that much slack, a negative one that it misses by that much (likewise for
+// separately). hiLen ≥ loLen by ranking; inter is |I|, inter1 is |I₁|
+// (bound-1 shared items). The decision ledger stores the margins as the
+// δ-margin witnesses of each conflict edge.
 //
-//oct:coldpath ledger witness capture; runs only with a recorder attached
+//oct:hotpath evaluated once per intersecting pair; must not allocate
 func pairMargins(hiLen, loLen, inter, inter1 int, base sim.Base, deltaHi, deltaLo float64, exact bool) (together, separately float64) {
 	switch {
 	case exact:
-		return float64(inter - loLen), float64(-inter1)
+		return float64(inter - loLen), float64(-inter1) // lo ⊆ hi; no shared bound-1 item
 	case base == sim.BasePR:
 		union := hiLen + loLen - inter
-		return float64(hiLen) - deltaHi*float64(union), float64(-inter1)
+		// The conversion rounds the product, so no platform fuses the
+		// subtraction into it: the margin's sign is the comparison
+		// hiLen ≥ δ·union.
+		return float64(hiLen) - float64(deltaHi*float64(union)), float64(-inter1)
 	case base == sim.BaseJaccard:
 		y2 := ceilEps(deltaLo*float64(loLen)) - inter
 		if y2 < 0 {
@@ -446,8 +424,8 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 				if less(inst, bi, ai) {
 					hi, lo = bi, ai
 				}
-				pc := coverPair(inst.Sets[hi].Items.Len(), inst.Sets[lo].Items.Len(), inter, inter1,
-					base, cfg.Delta0(inst.Sets[hi]), cfg.Delta0(inst.Sets[lo]), exact)
+				pc := coverPair(pairMargins(inst.Sets[hi].Items.Len(), inst.Sets[lo].Items.Len(), inter, inter1,
+					base, cfg.Delta0(inst.Sets[hi]), cfg.Delta0(inst.Sets[lo]), exact))
 				if pc.Separately {
 					continue
 				}

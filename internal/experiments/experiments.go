@@ -660,57 +660,47 @@ func SyntheticScale(seed int64, n int) *oct.Instance {
 }
 
 // Scale ("scale") measures CCT past the exact clusterer's MaxPoints
-// ceiling: a synthetic instance of 50000×Scale sets (at least 1000) built
-// under each applicable cluster strategy, reporting stage times and the
-// normalized score. At paper scale (Scale 1, 50k sets) only the scaled
-// strategies can run at all — the exact row appears only when the instance
-// still fits the matrix bound.
+// ceiling: one build of a synthetic instance of 50000×Scale sets (at least
+// 1000), reporting stage times and the normalized score. Up to MaxPoints
+// sets the clustering is the exact NN-chain; beyond it, average linkage on a
+// kNN graph (cluster.ApproxAgglomerativeContext).
 func Scale(ctx context.Context, opts Options) (*Result, error) {
 	n := int(50000 * opts.Scale)
 	if n < 1000 {
 		n = 1000
 	}
 	inst := SyntheticScale(opts.Seed, n)
-	res := &Result{
+	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.6}
+	cres, err := cct.BuildContext(ctx, inst, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("scale: %w", err)
+	}
+	clustering := "exact NN-chain"
+	if n > cluster.MaxPoints {
+		clustering = fmt.Sprintf("kNN graph (k=%d)", cluster.DefaultNeighbors)
+	}
+	return &Result{
 		ID:     "scale",
 		Title:  fmt.Sprintf("CCT past the %d-point clustering ceiling (%d synthetic sets)", cluster.MaxPoints, n),
-		Header: []string{"strategy", "sets", "categories", "cluster", "total", "score"},
-	}
-	strategies := []oct.ClusterStrategy{oct.ClusterAuto, oct.ClusterSampled, oct.ClusterApprox}
-	if n <= cluster.MaxPoints {
-		strategies = append(strategies, oct.ClusterExact)
-	}
-	for _, s := range strategies {
-		cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.6, ClusterStrategy: s}
-		cres, err := cct.BuildContext(ctx, inst, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("scale %q: %w", s, err)
-		}
-		name := string(s)
-		if s == oct.ClusterAuto {
-			name = "auto"
-		}
-		res.Rows = append(res.Rows, []string{
-			name,
+		Header: []string{"clustering", "sets", "categories", "cluster", "total", "score"},
+		Rows: [][]string{{
+			clustering,
 			fmt.Sprint(inst.N()),
 			fmt.Sprint(cres.Tree.Len()),
 			cres.Timings.Cluster.Round(time.Millisecond).String(),
 			cres.Timings.Total.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.3f", scoreOf(cres.Tree, inst, cfg)),
-		})
-	}
-	if n > cluster.MaxPoints {
-		res.Notes = append(res.Notes, fmt.Sprintf("exact strategy omitted: %d sets exceed cluster.MaxPoints = %d (it would refuse)", n, cluster.MaxPoints))
-	}
-	res.Notes = append(res.Notes, "paper-scale runs (dataset E) need Scale 1: 50k sets, feasible only through the sampled/approx strategies")
-	return res, nil
+		}},
+		Notes: []string{"paper-scale runs (dataset E) need Scale 1: 50k sets"},
+	}, nil
 }
 
 // Churn ("churn") replays catalog update batches against the incremental
 // delta engine and times each Apply+Rebuild cycle against rebuilding the
 // mutated catalog from scratch, across churn rates of 0.1%, 0.5%, and 1%
 // of the live sets per batch. At paper scale (Scale 1: 50k sets) the 0.1%
-// row is the configuration the delta benchmarks gate at ≥10×.
+// row is the configuration of BenchmarkDeltaUpdate and
+// BenchmarkDeltaVsRebuild, whose ratio DESIGN §11 measures at about 5×.
 func Churn(ctx context.Context, opts Options) (*Result, error) {
 	n := int(50000 * opts.Scale)
 	if n < 1000 {

@@ -1,6 +1,7 @@
 package invariant_test
 
 import (
+	"context"
 	"testing"
 
 	"categorytree/internal/cct"
@@ -8,6 +9,7 @@ import (
 	"categorytree/internal/ctcr"
 	"categorytree/internal/intset"
 	"categorytree/internal/invariant"
+	"categorytree/internal/obs"
 	"categorytree/internal/oct"
 	"categorytree/internal/sim"
 	"categorytree/internal/xrand"
@@ -110,24 +112,20 @@ func FuzzCCTBuild(f *testing.F) {
 	})
 }
 
-// decodeLargeInstance derives a larger grouped instance plus a scaled
-// clustering strategy from fuzz bytes: [size, strategy, seed, shape]. The
-// 0xFF size byte is the boundary class — cluster.MaxPoints+1 sets, the
-// first count the exact path refuses — kept affordable by tiny sets over
-// per-group item pools; other sizes land in [16, 526]. The strategy byte
-// cycles sampled/approx/auto, with small sample/neighbor knobs so the
-// genuinely approximate code paths run (defaults would fall back to exact
-// at these sizes).
+// decodeLargeInstance derives a larger grouped instance from fuzz bytes:
+// [size, seed, shape]. The 0xFF size byte is the boundary class —
+// cluster.MaxPoints+1 sets, the first count the exact NN-chain refuses and
+// CCT clusters on the kNN graph instead — kept affordable by tiny sets over
+// per-group item pools; other sizes land in [16, 526].
 func decodeLargeInstance(data []byte) (*oct.Instance, oct.Config, bool) {
-	if len(data) < 4 {
+	if len(data) < 3 {
 		return nil, oct.Config{}, false
 	}
 	n := 16 + int(data[0])*2
 	if data[0] == 0xFF {
 		n = cluster.MaxPoints + 1
 	}
-	strategy := []oct.ClusterStrategy{oct.ClusterSampled, oct.ClusterApprox, oct.ClusterAuto}[int(data[1])%3]
-	rng := xrand.New(int64(data[2]) + 1)
+	rng := xrand.New(int64(data[1]) + 1)
 	const groupSize, poolSize = 16, 8
 	groups := (n + groupSize - 1) / groupSize
 	inst := &oct.Instance{Universe: groups * poolSize}
@@ -141,11 +139,8 @@ func decodeLargeInstance(data []byte) (*oct.Instance, oct.Config, bool) {
 		inst.Sets = append(inst.Sets, oct.InputSet{Items: intset.New(items...), Weight: 1 + rng.Float64()})
 	}
 	cfg := oct.Config{
-		Variant:           sim.Variant(int(data[3]) % 6),
-		Delta:             float64(5+int(data[3])%6) / 10,
-		ClusterStrategy:   strategy,
-		ClusterSampleSize: 8 + int(data[2])%64,
-		ClusterNeighbors:  2 + int(data[2])%8,
+		Variant: sim.Variant(int(data[2]) % 6),
+		Delta:   float64(5+int(data[2])%6) / 10,
 	}
 	if inst.Validate() != nil || cfg.Validate() != nil {
 		return nil, oct.Config{}, false
@@ -153,18 +148,17 @@ func decodeLargeInstance(data []byte) (*oct.Instance, oct.Config, bool) {
 	return inst, cfg, true
 }
 
-// FuzzCCTBuildLarge drives CCT through the scaled clustering strategies
-// (sampled representatives, kNN-graph approximate linkage, auto) over
-// grouped instances large enough that the approximations genuinely engage —
-// including the cluster.MaxPoints+1 boundary — and asserts the same
-// structural and scoring invariants as FuzzCCTBuild.
+// FuzzCCTBuildLarge drives CCT over grouped instances up to the
+// cluster.MaxPoints+1 boundary, where clustering leaves the exact NN-chain
+// for the kNN graph, and asserts the same structural and scoring
+// invariants as FuzzCCTBuild.
 func FuzzCCTBuildLarge(f *testing.F) {
 	for _, seed := range [][]byte{
-		{40, 0, 3, 1},   // 96 sets through real sampling (k < n)
-		{40, 1, 5, 2},   // 96 sets, approx strategy exercising its exact fallback
-		{200, 2, 7, 0},  // 416 sets, auto
-		{0xFF, 2, 1, 1}, // MaxPoints+1 boundary through auto → kNN graph
-		{0xFF, 0, 2, 4}, // MaxPoints+1 boundary through sampled
+		{40, 3, 1},   // 96 sets
+		{40, 5, 2},   // 96 sets, another seed and variant
+		{200, 7, 0},  // 416 sets
+		{0xFF, 1, 1}, // MaxPoints+1 boundary through the kNN graph
+		{0xFF, 2, 4}, // the boundary again, another seed and variant
 	} {
 		f.Add(seed)
 	}
@@ -173,9 +167,14 @@ func FuzzCCTBuildLarge(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		res, err := cct.Build(inst, cfg)
+		reg := obs.NewRegistry()
+		res, err := cct.BuildContext(obs.WithRegistry(context.Background(), reg), inst, cfg)
 		if err != nil {
-			t.Fatalf("cct.Build (strategy %q) on valid instance: %v", cfg.ClusterStrategy, err)
+			t.Fatalf("cct.Build (%d sets) on valid instance: %v", inst.N(), err)
+		}
+		approx := reg.Snapshot().Timers["cluster.approx"].Count
+		if want := inst.N() > cluster.MaxPoints; (approx > 0) != want {
+			t.Fatalf("%d sets: kNN-graph clustering ran %d times, want it iff n > MaxPoints", inst.N(), approx)
 		}
 		if err := invariant.Check(res.Tree, cfg); err != nil {
 			t.Fatal(err)

@@ -47,44 +47,6 @@ type Instance struct {
 	Sets []InputSet `json:"sets"`
 }
 
-// ClusterStrategy selects how CCT's agglomerative stage handles instance
-// size (see internal/cluster for the three implementations).
-type ClusterStrategy string
-
-// The cluster strategies CCT accepts.
-const (
-	// ClusterAuto (the zero value) uses the exact NN-chain when the input
-	// fits its distance-matrix bound and the kNN-graph approximation
-	// beyond it.
-	ClusterAuto ClusterStrategy = ""
-	// ClusterExact always uses the exact NN-chain; inputs beyond
-	// cluster.MaxPoints are refused.
-	ClusterExact ClusterStrategy = "exact"
-	// ClusterSampled clusters k medoid representatives exactly and folds
-	// the rest underneath them.
-	ClusterSampled ClusterStrategy = "sampled"
-	// ClusterApprox merges along a sparse kNN graph (falling back to exact
-	// when the input fits the matrix bound).
-	ClusterApprox ClusterStrategy = "approx"
-)
-
-// ParseClusterStrategy parses a strategy name as the cmd tools accept it
-// ("auto" and "" both mean ClusterAuto).
-func ParseClusterStrategy(s string) (ClusterStrategy, error) {
-	switch s {
-	case "", "auto":
-		return ClusterAuto, nil
-	case "exact":
-		return ClusterExact, nil
-	case "sampled":
-		return ClusterSampled, nil
-	case "approx":
-		return ClusterApprox, nil
-	default:
-		return ClusterAuto, fmt.Errorf("oct: unknown cluster strategy %q (want auto, exact, sampled, or approx)", s)
-	}
-}
-
 // Config selects the OCT problem variant to solve.
 type Config struct {
 	// Variant is the similarity function family.
@@ -98,15 +60,6 @@ type Config struct {
 	// DefaultItemBound is the bound applied when ItemBounds is nil or an
 	// item has no entry; 0 is treated as the ubiquitous single-branch bound.
 	DefaultItemBound int
-	// ClusterStrategy selects CCT's clustering path; algorithms that do not
-	// cluster (CTCR) ignore it.
-	ClusterStrategy ClusterStrategy
-	// ClusterSampleSize is the representative count of the sampled
-	// strategy; 0 uses the cluster package default.
-	ClusterSampleSize int
-	// ClusterNeighbors is the kNN-graph degree of the approx strategy; 0
-	// uses the cluster package default.
-	ClusterNeighbors int
 }
 
 // Delta0 returns the effective threshold of set q under cfg.
@@ -143,17 +96,6 @@ func (c Config) Validate() error {
 		if b < 0 {
 			return fmt.Errorf("oct: negative bound %d for item %d", b, i)
 		}
-	}
-	switch c.ClusterStrategy {
-	case ClusterAuto, ClusterExact, ClusterSampled, ClusterApprox:
-	default:
-		return fmt.Errorf("oct: unknown cluster strategy %q", c.ClusterStrategy)
-	}
-	if c.ClusterSampleSize < 0 {
-		return fmt.Errorf("oct: negative cluster sample size %d", c.ClusterSampleSize)
-	}
-	if c.ClusterNeighbors < 0 {
-		return fmt.Errorf("oct: negative cluster neighbor count %d", c.ClusterNeighbors)
 	}
 	return nil
 }

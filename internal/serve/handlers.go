@@ -99,7 +99,8 @@ type NavigateResult struct {
 // defaults. Responses are cached per snapshot keyed on the normalized query.
 // Every request opens a read.categorize span (retained whole by the flight
 // recorder when the request tail-samples) and annotates the in-flight wide
-// event with the cache outcome, snapshot version, and candidate count.
+// event, the one record of the request's item count, cache outcome,
+// snapshot version, and candidate count.
 func (rd *Reader) Categorize(w http.ResponseWriter, r *http.Request) {
 	sp, ctx := obs.StartSpanContext(r.Context(), "read.categorize")
 	defer sp.End()
@@ -131,11 +132,8 @@ func (rd *Reader) Categorize(w http.ResponseWriter, r *http.Request) {
 
 	bsp, _ := sp.ChildContext(ctx, "best_cover")
 	node, score, candidates := snap.Index.BestCoverCandidates(v, items, delta)
-	bsp.Attr("candidates", candidates)
 	bsp.End()
 	fq.SetCandidates(candidates)
-	sp.Attr("items", items.Len())
-	sp.Attr("candidates", candidates)
 	res := CategorizeResult{
 		SnapshotVersion: snap.Version,
 		Score:           score,
@@ -193,7 +191,6 @@ func (rd *Reader) Navigate(w http.ResponseWriter, r *http.Request) {
 	nsp, _ := sp.ChildContext(ctx, "navigate")
 	nav := facet.Navigate(snap.Tree, items)
 	nsp.End()
-	sp.Attr("items", items.Len())
 	res := NavigateResult{
 		SnapshotVersion: snap.Version,
 		Category:        nav.Node.ID,
