@@ -49,7 +49,7 @@ bench:
 # statistically significant (Mann-Whitney, p < 0.05) >25% geomean sec/op
 # or allocs/op regression. A package or benchmark missing at BASE is
 # listed unpaired, not judged.
-BENCH_GATE_PKGS = ./internal/conflict/ ./internal/mis/ ./internal/assign/ ./internal/ctcr/ ./internal/tree/ ./internal/serve/ ./internal/obs/flight/ ./internal/delta/
+BENCH_GATE_PKGS = ./internal/conflict/ ./internal/mis/ ./internal/assign/ ./internal/ctcr/ ./internal/tree/ ./internal/serve/ ./internal/obs/flight/ ./internal/delta/ ./internal/search/
 BENCH_GATE_ROUNDS = 10
 BENCH_GATE_DIR = $(CURDIR)/.bench_gate
 bench-gate:

@@ -20,44 +20,54 @@ import (
 // the parent commit; nothing enforces their ratio. Both use the Exact
 // variant so the conflict graph is pure 2-conflicts — the scale
 // experiments' configuration for this instance family.
+// BenchmarkDeltaUpdatePerfectRecall gates the 3-conflict repair instead.
 
 const (
 	benchSets  = 50000
 	benchBatch = 50 // 0.1% of benchSets mutated per batch
 )
 
-var bench50k struct {
+// benchEngine is a warm engine that a benchmark's runs share, plus a
+// mutable copy of its instance's sets that drives the from-scratch rival.
+type benchEngine struct {
 	once sync.Once
 	cfg  oct.Config
 	eng  *delta.Engine
-	sets []oct.InputSet // mutable copy driving the from-scratch rival
+	sets []oct.InputSet
 	uni  int
 	err  error
 }
 
-func bench50kInit(tb testing.TB) {
-	bench50k.once.Do(func() {
+var (
+	bench50k = benchEngine{cfg: oct.Config{Variant: sim.Exact}}
+	// benchPR5k is small and at δ 0.8 because Perfect-Recall cycles are
+	// costly: ~0.1 s a cycle here, ~15 s at δ 0.6.
+	benchPR5k = benchEngine{cfg: oct.Config{Variant: sim.PerfectRecall, Delta: 0.8}}
+)
+
+// init builds be's engine on SyntheticScale(1, numSets) once.
+func (be *benchEngine) init(tb testing.TB, numSets int) {
+	be.once.Do(func() {
 		ctx := context.Background()
-		inst := experiments.SyntheticScale(1, benchSets)
-		bench50k.cfg = oct.Config{Variant: sim.Exact}
-		bench50k.uni = inst.Universe
-		bench50k.sets = append([]oct.InputSet(nil), inst.Sets...)
-		e, err := delta.NewContext(ctx, inst, bench50k.cfg, delta.DefaultOptions())
+		inst := experiments.SyntheticScale(1, numSets)
+		be.uni = inst.Universe
+		be.sets = append([]oct.InputSet(nil), inst.Sets...)
+		e, err := delta.NewContext(ctx, inst, be.cfg, delta.DefaultOptions())
 		if err != nil {
-			bench50k.err = err
+			be.err = err
 			return
 		}
 		// Warm the engine: the first Rebuild solves every component and
 		// seeds the MIS cache + previous tree, which is the steady state
 		// an updating service lives in.
 		if _, err := e.Rebuild(ctx); err != nil {
-			bench50k.err = err
+			be.err = err
 			return
 		}
-		bench50k.eng = e
+		be.eng = e
 	})
-	if bench50k.err != nil {
-		tb.Fatal(bench50k.err)
+	if be.err != nil {
+		tb.Fatal(be.err)
 	}
 }
 
@@ -105,14 +115,31 @@ func churnBatch(rng *xrand.RNG, live func(int) bool, slots int, universe int) []
 // a 50-mutation batch, repair the conflict graph, and re-derive the tree
 // with component-cached MIS solves — against the warm 50k engine.
 func BenchmarkDeltaUpdate(b *testing.B) {
-	bench50kInit(b)
+	bench50k.init(b, benchSets)
+	benchUpdate(b, &bench50k)
+}
+
+// BenchmarkDeltaUpdatePerfectRecall is the same cycle on a Perfect-Recall
+// δ 0.8 engine over 5000 sets. Its conflict graph has 3-conflicts and
+// must-together pairs, so each batch repairs triples through
+// Engine.repairTriples and related, which the Exact benchmarks never reach.
+func BenchmarkDeltaUpdatePerfectRecall(b *testing.B) {
+	benchPR5k.init(b, 5000)
+	if benchPR5k.eng.Stats().Conflicts3 == 0 {
+		b.Fatal("warm engine has no 3-conflicts; the benchmark would not repair triples")
+	}
+	benchUpdate(b, &benchPR5k)
+}
+
+// benchUpdate runs b.N churnBatch cycles against be's warm engine.
+func benchUpdate(b *testing.B, be *benchEngine) {
 	ctx := context.Background()
-	e := bench50k.eng
+	e := be.eng
 	rng := xrand.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := e.Stats()
-		muts := churnBatch(rng, e.Live, st.Slots, bench50k.uni)
+		muts := churnBatch(rng, e.Live, st.Slots, be.uni)
 		if _, err := e.Apply(ctx, muts); err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +158,7 @@ func BenchmarkDeltaUpdate(b *testing.B) {
 // with ctcr.Build. The ratio of the two benchmarks' sec/op is the delta
 // engine's speedup, about 5× (DESIGN §11).
 func BenchmarkDeltaVsRebuild(b *testing.B) {
-	bench50kInit(b)
+	bench50k.init(b, benchSets)
 	ctx := context.Background()
 	rng := xrand.New(3)
 	b.ResetTimer()

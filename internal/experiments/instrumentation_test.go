@@ -152,21 +152,6 @@ func record(snap obs.Snapshot, evs []obs.ProgressEvent) buildRecord {
 	return br
 }
 
-// completed is the done sequence a stage owes after its reference run: the
-// reference's, plus a trailing {total, total} where the reference stopped
-// short of it.
-func completed(st stageRecord) [][2]int64 {
-	runs := append([][2]int64(nil), st.Done...)
-	if n := len(runs); n == 0 || runs[n-1][1] != st.Total {
-		if n > 0 && runs[n-1][1]+1 == st.Total {
-			runs[n-1][1] = st.Total
-		} else {
-			runs = append(runs, [2]int64{st.Total, st.Total})
-		}
-	}
-	return runs
-}
-
 func TestInstrumentationContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds four reference instances up to 12k sets")
@@ -283,28 +268,16 @@ func checkApproxMerges(t *testing.T, evs []obs.ProgressEvent) {
 	}
 }
 
-// checkAgainstGolden compares a build's telemetry with its reference. A
-// timer may only be added for a progress stage that gained its own span.
+// checkAgainstGolden compares a build's telemetry with its reference:
+// counters, timer counts, stages and the sequenced stages' done runs, all
+// exactly.
 func checkAgainstGolden(t *testing.T, want, got buildRecord) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Counters, want.Counters) {
 		t.Errorf("counters differ:\n got %v\nwant %v", got.Counters, want.Counters)
 	}
-	stages := map[string]bool{}
-	for _, st := range want.Stages {
-		stages[st.Stage] = true
-	}
-	for name, n := range got.Timers {
-		if w, ok := want.Timers[name]; ok && w != n {
-			t.Errorf("timer %s count %d, want %d", name, n, w)
-		} else if !ok && !stages[name] {
-			t.Errorf("unexpected timer %s", name)
-		}
-	}
-	for name := range want.Timers {
-		if _, ok := got.Timers[name]; !ok {
-			t.Errorf("timer %s missing", name)
-		}
+	if !reflect.DeepEqual(got.Timers, want.Timers) {
+		t.Errorf("timer counts differ:\n got %v\nwant %v", got.Timers, want.Timers)
 	}
 	if len(got.Stages) != len(want.Stages) {
 		t.Fatalf("progress stages:\n got %v\nwant %v", got.Stages, want.Stages)
@@ -318,8 +291,8 @@ func checkAgainstGolden(t *testing.T, want, got buildRecord) {
 		if unsequencedStages[w.Stage] {
 			continue
 		}
-		if !reflect.DeepEqual(g.Done, completed(w)) {
-			t.Errorf("stage %s done runs %v, want %v", w.Stage, g.Done, completed(w))
+		if !reflect.DeepEqual(g.Done, w.Done) {
+			t.Errorf("stage %s done runs %v, want %v", w.Stage, g.Done, w.Done)
 		}
 	}
 }

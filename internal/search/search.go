@@ -11,8 +11,11 @@
 package search
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"categorytree/internal/text"
 )
@@ -26,12 +29,28 @@ type Hit struct {
 	Score float64
 }
 
-// Index is an inverted index over documents.
+// Index is an inverted index over documents. After Build it is safe for
+// concurrent Search calls.
 type Index struct {
 	postings map[string][]posting
 	docLen   []float64 // L2 norm of each document's TF-IDF vector
 	numDocs  int
 	built    bool
+
+	// scratch pools per-query accumulators sized to numDocs, so a query's
+	// scoring allocates nothing proportional to the documents it touches.
+	scratch sync.Pool
+}
+
+// accumulator is one query's term-at-a-time score table (Zobel and Moffat,
+// "Inverted files for text search engines", 2006): scores[doc] is doc's
+// partial dot product with the query, and touched lists the docs with a
+// nonzero score in first-touch order. Between queries every score is 0 and
+// touched is empty; hits is reused storage for the survivors.
+type accumulator struct {
+	scores  []float64
+	touched []int32
+	hits    []Hit
 }
 
 type posting struct {
@@ -79,6 +98,10 @@ func (ix *Index) Build() {
 	for i, v := range ix.docLen {
 		ix.docLen[i] = math.Sqrt(v)
 	}
+	numDocs := ix.numDocs
+	ix.scratch.New = func() interface{} {
+		return &accumulator{scores: make([]float64, numDocs)}
+	}
 	ix.built = true
 }
 
@@ -109,8 +132,9 @@ func (ix *Index) Search(query string, minScore float64, limit int) []Hit {
 	if len(qCounts) == 0 {
 		return nil
 	}
+	acc := ix.scratch.Get().(*accumulator)
+	defer ix.scratch.Put(acc)
 	qNorm := 0.0
-	scores := make(map[int32]float64)
 	for _, tok := range sortedKeys(qCounts) {
 		c := qCounts[tok]
 		idf := ix.idf(tok)
@@ -119,43 +143,77 @@ func (ix *Index) Search(query string, minScore float64, limit int) []Hit {
 		}
 		qw := (1 + math.Log(float64(c))) * idf
 		qNorm += qw * qw
-		for _, p := range ix.postings[tok] {
-			scores[p.doc] += qw * p.tf * idf
-		}
+		acc.add(ix.postings[tok], qw, idf)
 	}
-	if len(scores) == 0 {
+	if len(acc.touched) == 0 {
 		return nil
 	}
-	qn := math.Sqrt(qNorm)
-	hits := make([]Hit, 0, len(scores))
+	// Filtering before the sort returns what sorting everything and then
+	// filtering did: (score desc, doc asc) is a total order on distinct
+	// docs, so the survivors keep their relative order.
+	hits := acc.collect(ix.docLen, math.Sqrt(qNorm), minScore)
+	slices.SortFunc(hits, byRelevance)
+	if limit > 0 && len(hits) > limit {
+		hits = hits[:limit]
+	}
+	out := make([]Hit, len(hits))
+	copy(out, hits)
+	return out
+}
+
+// add scores one query token's postings: qw·tf·idf per document, summed in
+// the caller's token order. Every term is positive, so a score of 0 marks a
+// document this query has not touched yet.
+//
+//oct:hotpath walks every posting of every query token; must not allocate
+func (a *accumulator) add(ps []posting, qw, idf float64) {
+	scores, touched := a.scores, a.touched
+	for _, p := range ps {
+		if scores[p.doc] == 0 {
+			touched = append(touched, p.doc)
+		}
+		scores[p.doc] += qw * p.tf * idf
+	}
+	a.touched = touched
+}
+
+// collect turns the touched documents' dot products into cosines
+// normalized by the best one, keeps those at or above minScore in a.hits,
+// unsorted, and leaves the accumulator clean for the next query.
+//
+//oct:hotpath scans every touched document of a query; must not allocate
+func (a *accumulator) collect(docLen []float64, qn, minScore float64) []Hit {
+	scores := a.scores
 	best := 0.0
-	for doc, s := range scores {
-		cos := s / (qn * ix.docLen[doc])
+	for _, doc := range a.touched {
+		cos := scores[doc] / (qn * docLen[doc])
+		scores[doc] = cos
 		if cos > best {
 			best = cos
 		}
-		hits = append(hits, Hit{Doc: doc, Score: cos})
 	}
 	// Normalize to [0, 1] per query: platforms report relative relevance.
-	for i := range hits {
-		hits[i].Score /= best
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc < hits[j].Doc
-	})
-	out := hits[:0]
-	for _, h := range hits {
-		if h.Score >= minScore {
-			out = append(out, h)
+	hits := a.hits[:0]
+	for _, doc := range a.touched {
+		score := scores[doc] / best
+		scores[doc] = 0
+		if score >= minScore {
+			hits = append(hits, Hit{Doc: doc, Score: score})
 		}
 	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	a.hits, a.touched = hits, a.touched[:0]
+	return hits
+}
+
+// byRelevance orders hits best first, equal scores by ascending doc.
+func byRelevance(x, y Hit) int {
+	switch {
+	case x.Score > y.Score:
+		return -1
+	case x.Score < y.Score:
+		return 1
 	}
-	return out
+	return cmp.Compare(x.Doc, y.Doc)
 }
 
 // sortedKeys returns m's keys in ascending order.
