@@ -8,8 +8,11 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# The perfbench benchmark is a nested module that ./... does not reach; it
+# compiles against internal APIs, so vet and test it too, as CI does.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -28,13 +28,13 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"sync"
+	"time"
 
-	"categorytree/internal/intset"
+	"categorytree/internal/experiments"
 	"categorytree/internal/obs"
 	"categorytree/internal/obs/flight"
 	"categorytree/internal/serve"
 	"categorytree/internal/sim"
-	"categorytree/internal/tree"
 	"categorytree/internal/xrand"
 )
 
@@ -59,16 +59,17 @@ func run(out string, requests, workers int, seed int64) error {
 
 	reg := obs.NewRegistry()
 	rec := flight.New(flight.Options{Registry: reg})
+	ep := rec.Endpoint("categorize")
 	pub := serve.NewPublisher(reg, 0)
 	rd := serve.NewReader(pub, serve.Options{Variant: sim.CutoffJaccard, Delta: 0.3, Registry: reg})
 
 	// A burst before any snapshot publishes: 503s, retained as errors.
 	for i := 0; i < 3; i++ {
-		fire(rec, rd, fmt.Sprintf("prepub-%d", i), "/categorize?items=1,2", false)
+		fire(ep, rd, fmt.Sprintf("prepub-%d", i), "/categorize?items=1,2", false)
 	}
 
 	const universe = 2000
-	pub.Publish(buildTree(seed, universe, 10, 6))
+	pub.Publish(experiments.ServeTree(seed, universe, 10, 6))
 
 	// The replay mix: mostly healthy lookups, every 50th force-sampled, every
 	// 97th a client error (bad item id).
@@ -86,7 +87,7 @@ func run(out string, requests, workers int, seed int64) error {
 				if n%97 == 3 {
 					path = "/categorize?items=not-a-number"
 				}
-				fire(rec, rd, id, path, n%50 == 0)
+				fire(ep, rd, id, path, n%50 == 0)
 			}
 		}(w)
 	}
@@ -152,43 +153,16 @@ func run(out string, requests, workers int, seed int64) error {
 
 // fire runs one request through the flight recorder and the reader, exactly
 // as octserve's instrument wrapper would.
-func fire(rec *flight.Recorder, rd *serve.Reader, id, path string, force bool) {
+func fire(ep *flight.Endpoint, rd *serve.Reader, id, path string, force bool) {
 	r, err := http.NewRequest("GET", path, nil)
 	if err != nil {
 		panic(err) // static paths; unreachable
 	}
-	fq, ctx := rec.Start(r.Context(), "categorize", id, force)
+	t0 := time.Now()
+	fq, ctx := ep.StartAt(r.Context(), id, force, t0)
 	w := newMemWriter()
 	rd.Categorize(w, r.WithContext(ctx))
-	fq.Finish(w.code)
-}
-
-// buildTree makes the deterministic two-level fixture tree: tops partition
-// the universe, each with a fan of random-subset subcategories.
-func buildTree(seed int64, universe, tops, subsPerTop int) *tree.Tree {
-	rng := xrand.New(seed)
-	t := tree.New(intset.Range(0, intset.Item(universe)))
-	per := universe / tops
-	for g := 0; g < tops; g++ {
-		lo, hi := g*per, (g+1)*per
-		if g == tops-1 {
-			hi = universe
-		}
-		items := make([]intset.Item, 0, hi-lo)
-		for v := lo; v < hi; v++ {
-			items = append(items, intset.Item(v))
-		}
-		top := t.AddCategory(nil, intset.New(items...), fmt.Sprintf("top-%d", g))
-		for s := 0; s < subsPerTop; s++ {
-			k := 2 + rng.Intn(len(items)/2)
-			sub := make([]intset.Item, 0, k)
-			for _, idx := range rng.SampleK(len(items), k) {
-				sub = append(sub, items[idx])
-			}
-			t.AddCategory(top, intset.New(sub...), fmt.Sprintf("top-%d/sub-%d", g, s))
-		}
-	}
-	return t
+	fq.FinishLatency(w.code, time.Since(t0))
 }
 
 // memWriter is an in-memory http.ResponseWriter for driving handlers without

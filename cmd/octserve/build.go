@@ -239,10 +239,10 @@ func (s *server) maybePublish(spec buildSpec, resp *buildResponse, built *tree.T
 // builds never bleed into one another (the server-wide registry still sees
 // the endpoint's request counter and latency through instrument).
 //
-// Synchronous requests run under an adaptive deadline derived from the
-// endpoint's latency histogram; ?async=1 instead registers a job, returns
-// 202 with its id, and runs the build on the server's base context — poll
-// GET /builds/{id} or stream GET /builds/{id}/events.
+// Synchronous requests run under the -build-timeout deadline; ?async=1
+// instead registers a job, returns 202 with its id, and runs the build on
+// the server's base context — poll GET /builds/{id} or stream
+// GET /builds/{id}/events.
 func (s *server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -268,11 +268,9 @@ func (s *server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Request-scoped observability: a fresh registry rides the request
-	// context through the pipeline. The deadline is histogram-informed:
-	// clamp(3×p99) of this endpoint's own latency once enough builds ran.
+	// context through the pipeline.
 	reg := obs.NewRegistry()
-	deadline := s.timeout.deadline()
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline)
 	defer cancel()
 	ctx = obs.WithRegistry(ctx, reg)
 
@@ -280,7 +278,7 @@ func (s *server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
-			http.Error(w, fmt.Sprintf("octserve: build exceeded the %s deadline (use ?async=1 for long builds)", deadline), http.StatusGatewayTimeout)
+			http.Error(w, fmt.Sprintf("octserve: build exceeded the %s deadline (use ?async=1 for long builds)", s.deadline), http.StatusGatewayTimeout)
 		default:
 			http.Error(w, "octserve: "+err.Error(), http.StatusInternalServerError)
 		}

@@ -436,73 +436,59 @@ func TestMetricsAcceptQValues(t *testing.T) {
 	}
 }
 
-func TestTimeoutControllerAdapts(t *testing.T) {
-	reg := obs.NewRegistry()
-	hist := reg.Histogram("http.build/latency")
-	c := newTimeoutController(hist, 60*time.Second)
-	c.refresh = 0 // recompute on every call
-
-	// Cold histogram: static fallback.
-	if d := c.deadline(); d != 60*time.Second {
-		t.Fatalf("cold deadline = %v, want 60s", d)
-	}
-	for i := 0; i < timeoutMinSamples-1; i++ {
-		hist.Observe(2 * time.Second)
-	}
-	if d := c.deadline(); d != 60*time.Second {
-		t.Fatalf("under-sampled deadline = %v, want 60s", d)
-	}
-
-	// Enough samples: clamp(3×p99) within [floor, static].
-	hist.Observe(2 * time.Second)
-	want := 3 * hist.Quantile(0.99)
-	if d := c.deadline(); d != want {
-		t.Fatalf("adaptive deadline = %v, want 3×p99 = %v", d, want)
-	}
-	if want <= timeoutFloor || want >= 60*time.Second {
-		t.Fatalf("test distribution left the clamp window: %v", want)
-	}
-
-	// Fast builds clamp up to the floor rather than strangling requests.
-	fast := newTimeoutController(reg.Histogram("fast/latency"), 60*time.Second)
-	fast.refresh = 0
-	for i := 0; i < timeoutMinSamples; i++ {
-		reg.Histogram("fast/latency").Observe(100 * time.Microsecond)
-	}
-	if d := fast.deadline(); d != timeoutFloor {
-		t.Fatalf("floor clamp = %v, want %v", d, timeoutFloor)
-	}
-
-	// Pathological tails clamp down to the static bound.
-	slow := newTimeoutController(reg.Histogram("slow/latency"), time.Second)
-	slow.refresh = 0
-	for i := 0; i < timeoutMinSamples; i++ {
-		reg.Histogram("slow/latency").Observe(10 * time.Second)
-	}
-	if d := slow.deadline(); d != time.Second {
-		t.Fatalf("static clamp = %v, want 1s", d)
+// slowBuild substitutes server.build with one that takes d, or ends early
+// with its context's error, so a test fixes how long a sync /build runs.
+func slowBuild(d time.Duration) func(context.Context, buildSpec, *obs.Registry) (*buildResponse, *tree.Tree, *ledger.Ledger, error) {
+	return func(ctx context.Context, spec buildSpec, _ *obs.Registry) (*buildResponse, *tree.Tree, *ledger.Ledger, error) {
+		select {
+		case <-time.After(d):
+			return &buildResponse{Algorithm: spec.algorithm, Sets: spec.inst.N()}, nil, nil, nil
+		case <-ctx.Done():
+			return nil, nil, nil, ctx.Err()
+		}
 	}
 }
 
-// TestSyncBuildDeadlineExceeded drives the sync path into its adaptive
-// deadline: after enough fast builds the deadline tightens to the floor, and
-// a build that cannot finish inside it returns 504.
-func TestSyncBuildTimeoutWiring(t *testing.T) {
+// TestSyncBuildDeadlineIgnoresEndpointTraffic: the sync /build deadline is
+// -build-timeout whatever else the endpoint answered. Rejected bodies and
+// async submissions are fast /build responses; they must not shorten the
+// deadline a real build gets, as Dataset C's Perfect-Recall build takes
+// over a second.
+func TestSyncBuildDeadlineIgnoresEndpointTraffic(t *testing.T) {
 	s := testServer(t)
-	// The sync handler consults the controller before every build.
-	if got := s.timeout.deadline(); got != 60*time.Second {
-		t.Fatalf("default deadline = %v", got)
+	for i := 0; i < 40; i++ {
+		if rec := postBuild(t, s, `{"bogus":1}`); rec.Code != http.StatusBadRequest {
+			t.Fatalf("unknown field: status %d: %s", rec.Code, rec.Body)
+		}
 	}
-	// A custom static bound flows through serverOptions.
-	s2, err := newServer(serverOptions{
-		Tree: tree.New(nil), Variant: "exact", Delta: 1,
-		Registry: obs.NewRegistry(), Logger: discardLogger(), BuildTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 40; i++ {
+		req := httptest.NewRequest("POST", "/build?async=1", strings.NewReader("{}"))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		var out struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusAccepted || err != nil {
+			t.Fatalf("async build %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		// Each job ends before the next starts, so the registry never fills
+		// and no job reads server.build after the substitution below.
+		<-s.jobs.get(out.ID).doneCh
 	}
-	t.Cleanup(s2.Close)
-	if got := s2.timeout.deadline(); got != 5*time.Second {
-		t.Fatalf("configured deadline = %v, want 5s", got)
+
+	s.build = slowBuild(1500 * time.Millisecond)
+	if rec := postBuild(t, s, "{}"); rec.Code != http.StatusOK {
+		t.Fatalf("1.5s sync build after 80 fast /build responses: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestSyncBuildTimeoutWiring: a sync build that outlives -build-timeout
+// answers 504 naming the deadline.
+func TestSyncBuildTimeoutWiring(t *testing.T) {
+	s := testServer(t, func(o *serverOptions) { o.BuildTimeout = 100 * time.Millisecond })
+	s.build = slowBuild(300 * time.Millisecond)
+	rec := postBuild(t, s, "{}")
+	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), "100ms deadline") {
+		t.Fatalf("status %d: %s; want 504 naming the 100ms deadline", rec.Code, rec.Body)
 	}
 }

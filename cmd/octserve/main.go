@@ -35,9 +35,9 @@
 //	                         Chrome trace (also at /api/build). publish:true
 //	                         in the body (or ?publish=1) atomically swaps the
 //	                         result in as the served snapshot — in-flight
-//	                         readers finish on the old one. The deadline
-//	                         adapts to the endpoint's own latency history
-//	                         (clamp of 3×p99, bounded by -build-timeout).
+//	                         readers finish on the old one. The build
+//	                         must finish within -build-timeout (default
+//	                         60s) or answers 504; use ?async=1 for longer.
 //	POST /build?async=1      start the build as a background job: 202 + id
 //	GET /builds/{id}         job status, live stage progress, result when done
 //	GET /builds/{id}/events  job progress streamed as Server-Sent Events
@@ -103,7 +103,7 @@ func main() {
 		logFormat    = flag.String("log", "", "log format: text or json (default OCT_LOG_FORMAT, then text)")
 		maxJobs      = flag.Int("max-jobs", 16, "async build job registry capacity")
 		jobTTL       = flag.Duration("job-ttl", 10*time.Minute, "how long finished async jobs stay fetchable")
-		buildTimeout = flag.Duration("build-timeout", 60*time.Second, "static sync /build deadline and upper bound of the adaptive one")
+		buildTimeout = flag.Duration("build-timeout", 60*time.Second, "sync /build deadline; longer builds take ?async=1")
 		readCache    = flag.Int("read-cache", 0, "per-snapshot response cache entries for /categorize and /navigate (0 = default 4096, negative disables)")
 		flightRing   = flag.Int("flight-ring", 0, "flight recorder wide-event ring size (0 = default 4096, negative disables the recorder)")
 		traceRetain  = flag.Int("trace-retain", 0, "retained tail-sampled traces for /debug/traces (0 = default 256)")
@@ -154,7 +154,7 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		// No WriteTimeout: SSE progress streams outlive any fixed bound; the
-		// sync /build path is bounded by its adaptive deadline instead.
+		// sync /build path is bounded by -build-timeout instead.
 		IdleTimeout: 2 * time.Minute,
 	}
 

@@ -53,8 +53,8 @@ type serverOptions struct {
 	// finished jobs stay fetchable (0 = 10m).
 	MaxJobs int
 	JobTTL  time.Duration
-	// BuildTimeout is the static sync-/build deadline and the upper clamp of
-	// the adaptive one (0 = 60s).
+	// BuildTimeout is the sync /build deadline (0 = 60s); longer builds take
+	// ?async=1.
 	BuildTimeout time.Duration
 	// ReadCacheSize bounds each snapshot's response cache for /categorize and
 	// /navigate (0 = serve's default, negative disables caching).
@@ -72,7 +72,7 @@ type serverOptions struct {
 // server holds the serving state: the snapshot publisher (the only route to
 // the tree — every handler reads one immutable published snapshot), the
 // read-path handlers over it, the instance, plus the async job registry and
-// the adaptive build-timeout controller.
+// the sync build deadline.
 type server struct {
 	pub      *serve.Publisher
 	reader   *serve.Reader
@@ -83,7 +83,7 @@ type server struct {
 	reg      *obs.Registry
 	log      *slog.Logger
 	jobs     *jobRegistry
-	timeout  *timeoutController
+	deadline time.Duration    // sync /build deadline (-build-timeout)
 	flight   *flight.Recorder // nil when disabled (-flight-ring < 0)
 	ledgerOn bool             // -ledger: record build provenance for /explain
 	start    time.Time
@@ -135,7 +135,10 @@ func newServer(opts serverOptions) (*server, error) {
 		baseCtx:  baseCtx,
 		cancel:   cancel,
 	}
-	s.timeout = newTimeoutController(reg.Histogram("http.build/latency"), opts.BuildTimeout)
+	s.deadline = opts.BuildTimeout
+	if s.deadline <= 0 {
+		s.deadline = 60 * time.Second
+	}
 	if opts.FlightRing >= 0 {
 		s.flight = flight.New(flight.Options{
 			RingSize:     opts.FlightRing,

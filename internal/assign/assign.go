@@ -18,7 +18,6 @@ package assign
 import (
 	"container/heap"
 	"context"
-	"math"
 	"slices"
 	"sort"
 
@@ -200,14 +199,14 @@ func (a *Assigner) CoverGap(q oct.SetID) (int, bool) {
 	case sim.BaseJaccard:
 		// (inter+k) / (qLen + cLen - inter) ≥ δ.
 		union := qLen + cLen - inter
-		k := ceilEps(delta*float64(union)) - inter
+		k := sim.CeilEps(delta*float64(union)) - inter
 		if k < 0 {
 			k = 0
 		}
 		return k, k <= missing
 	case sim.BaseF1:
 		// 2(inter+k) / (qLen + cLen + k) ≥ δ.
-		k := ceilEps((delta*float64(qLen+cLen) - 2*float64(inter)) / (2 - delta))
+		k := sim.CeilEps((delta*float64(qLen+cLen) - 2*float64(inter)) / (2 - delta))
 		if k < 0 {
 			k = 0
 		}
@@ -216,13 +215,6 @@ func (a *Assigner) CoverGap(q oct.SetID) (int, bool) {
 		k := missing
 		return k, sim.AtLeast(float64(inter+k)/float64(cLen+k), delta)
 	}
-}
-
-// ceilEps is a ceiling robust to the upward drift of float products like
-// 0.8·9 = 7.200000000000001, which would otherwise overshoot integer
-// thresholds by one.
-func ceilEps(x float64) int {
-	return int(math.Ceil(x - 1e-9))
 }
 
 // heap of targets by gain factor, with lazy revalidation.

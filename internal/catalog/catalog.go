@@ -17,8 +17,10 @@ package catalog
 
 import (
 	"fmt"
+	"sync"
 
 	"categorytree/internal/intset"
+	"categorytree/internal/search"
 	"categorytree/internal/tree"
 	"categorytree/internal/xrand"
 )
@@ -47,10 +49,28 @@ type Catalog struct {
 	// accessories under their hosts — the fragmentation the paper's
 	// Example 1.1 motivates fixing.
 	Accessories map[string][]string
+
+	indexOnce sync.Once
+	index     *search.Index
 }
 
 // Len returns the number of products.
 func (c *Catalog) Len() int { return len(c.Products) }
+
+// SearchIndex returns the search index over the product titles, one
+// document per item ID. It is built on the first call and shared by every
+// later one (preprocessing runs once per variant and δ over the same
+// catalog), so Products must not change after it.
+func (c *Catalog) SearchIndex() *search.Index {
+	c.indexOnce.Do(func() {
+		c.index = search.NewIndex()
+		for _, p := range c.Products {
+			c.index.Add(int32(p.ID), p.Title)
+		}
+		c.index.Build()
+	})
+	return c.index
+}
 
 // Titles returns all product titles indexed by item ID.
 func (c *Catalog) Titles() []string {

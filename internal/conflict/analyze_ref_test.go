@@ -11,6 +11,7 @@ package conflict
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -73,7 +74,7 @@ func refAnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, 
 		}
 	}
 
-	bounded := hasBounds(cfg)
+	bounded := refHasBounds(cfg)
 	exact := cfg.Variant == sim.Exact
 	base := cfg.Variant.Base()
 
@@ -329,23 +330,37 @@ func refCoverPair(hiLen, loLen, inter, inter1 int, base sim.Base, deltaHi, delta
 		pc.Together = float64(hiLen) >= deltaHi*float64(union)
 		pc.Separately = inter1 == 0
 	case base == sim.BaseJaccard:
-		y2 := ceilEps(deltaLo*float64(loLen)) - inter
+		y2 := refCeilEps(deltaLo*float64(loLen)) - inter
 		if y2 < 0 {
 			y2 = 0
 		}
 		pc.Together = float64(y2) <= float64(hiLen)*(1-deltaHi)/deltaHi
-		x1 := minInt(floorEps(float64(hiLen)*(1-deltaHi)), inter1)
-		x2 := minInt(floorEps(float64(loLen)*(1-deltaLo)), inter1)
+		x1 := minInt(refFloorEps(float64(hiLen)*(1-deltaHi)), inter1)
+		x2 := minInt(refFloorEps(float64(loLen)*(1-deltaLo)), inter1)
 		pc.Separately = inter1 <= x1+x2
 	default: // BaseF1
-		y2 := ceilEps(float64(loLen)*deltaLo/(2-deltaLo)) - inter
+		y2 := refCeilEps(float64(loLen)*deltaLo/(2-deltaLo)) - inter
 		if y2 < 0 {
 			y2 = 0
 		}
 		pc.Together = float64(y2) <= float64(hiLen)*2*(1-deltaHi)/deltaHi
-		x1 := minInt(floorEps(float64(hiLen)*2*(1-deltaHi)/(2-deltaHi)), inter1)
-		x2 := minInt(floorEps(float64(loLen)*2*(1-deltaLo)/(2-deltaLo)), inter1)
+		x1 := minInt(refFloorEps(float64(hiLen)*2*(1-deltaHi)/(2-deltaHi)), inter1)
+		x2 := minInt(refFloorEps(float64(loLen)*2*(1-deltaLo)/(2-deltaLo)), inter1)
 		pc.Separately = inter1 <= x1+x2
 	}
 	return pc
+}
+
+// refCeilEps, refFloorEps and refHasBounds are the rounding helpers and the
+// bound test as the reference was written against them.
+func refCeilEps(x float64) int {
+	return int(math.Ceil(x - 1e-9))
+}
+
+func refFloorEps(x float64) int {
+	return int(math.Floor(x + 1e-9))
+}
+
+func refHasBounds(cfg oct.Config) bool {
+	return cfg.DefaultItemBound > 1 || len(cfg.ItemBounds) > 0
 }

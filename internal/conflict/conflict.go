@@ -29,7 +29,6 @@ package conflict
 import (
 	"cmp"
 	"context"
-	"math"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -138,7 +137,7 @@ func CoverPair(inst *oct.Instance, cfg oct.Config, a, b oct.SetID) PairCover {
 	qa, qb := inst.Sets[a], inst.Sets[b]
 	inter := qa.Items.IntersectSize(qb.Items)
 	inter1 := inter
-	if hasBounds(cfg) {
+	if cfg.HasBounds() {
 		inter1 = boundOneIntersection(cfg, qa.Items, qb.Items)
 	}
 	// hi = the larger set (lower rank number). Ties: heavier ranks later,
@@ -195,22 +194,22 @@ func pairMargins(hiLen, loLen, inter, inter1 int, base sim.Base, deltaHi, deltaL
 		// hiLen ≥ δ·union.
 		return float64(hiLen) - float64(deltaHi*float64(union)), float64(-inter1)
 	case base == sim.BaseJaccard:
-		y2 := ceilEps(deltaLo*float64(loLen)) - inter
+		y2 := sim.CeilEps(deltaLo*float64(loLen)) - inter
 		if y2 < 0 {
 			y2 = 0
 		}
 		together = float64(hiLen)*(1-deltaHi)/deltaHi - float64(y2)
-		x1 := minInt(floorEps(float64(hiLen)*(1-deltaHi)), inter1)
-		x2 := minInt(floorEps(float64(loLen)*(1-deltaLo)), inter1)
+		x1 := minInt(sim.FloorEps(float64(hiLen)*(1-deltaHi)), inter1)
+		x2 := minInt(sim.FloorEps(float64(loLen)*(1-deltaLo)), inter1)
 		return together, float64(x1 + x2 - inter1)
 	default: // BaseF1
-		y2 := ceilEps(float64(loLen)*deltaLo/(2-deltaLo)) - inter
+		y2 := sim.CeilEps(float64(loLen)*deltaLo/(2-deltaLo)) - inter
 		if y2 < 0 {
 			y2 = 0
 		}
 		together = float64(hiLen)*2*(1-deltaHi)/deltaHi - float64(y2)
-		x1 := minInt(floorEps(float64(hiLen)*2*(1-deltaHi)/(2-deltaHi)), inter1)
-		x2 := minInt(floorEps(float64(loLen)*2*(1-deltaLo)/(2-deltaLo)), inter1)
+		x1 := minInt(sim.FloorEps(float64(hiLen)*2*(1-deltaHi)/(2-deltaHi)), inter1)
+		x2 := minInt(sim.FloorEps(float64(loLen)*2*(1-deltaLo)/(2-deltaLo)), inter1)
 		return together, float64(x1 + x2 - inter1)
 	}
 }
@@ -227,7 +226,7 @@ func RecordPairWitness(led *ledger.Recorder, inst *oct.Instance, cfg oct.Config,
 	qa, qb := inst.Sets[a], inst.Sets[b]
 	inter := qa.Items.IntersectSize(qb.Items)
 	inter1 := inter
-	if hasBounds(cfg) {
+	if cfg.HasBounds() {
 		inter1 = boundOneIntersection(cfg, qa.Items, qb.Items)
 	}
 	recordPairWitness(led, inst, cfg, a, b, inter, inter1, together)
@@ -266,21 +265,6 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// ceilEps and floorEps are rounding helpers robust to float drift
-// (0.8·9 = 7.2000…01, 0.3·10 = 2.9999…96), so integer thresholds are not
-// missed by one.
-func ceilEps(x float64) int {
-	return int(math.Ceil(x - 1e-9))
-}
-
-func floorEps(x float64) int {
-	return int(math.Floor(x + 1e-9))
-}
-
-func hasBounds(cfg oct.Config) bool {
-	return cfg.DefaultItemBound > 1 || len(cfg.ItemBounds) > 0
 }
 
 // boundOneIntersection counts shared items whose branch bound is exactly 1.
@@ -350,7 +334,7 @@ func AnalyzeContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, aOp
 	}
 	postStart, postSets := invertedIndex(inst)
 
-	bounded := hasBounds(cfg)
+	bounded := cfg.HasBounds()
 	exact := cfg.Variant == sim.Exact
 	base := cfg.Variant.Base()
 

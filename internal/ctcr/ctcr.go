@@ -37,21 +37,18 @@ import (
 )
 
 // Options tunes the CTCR pipeline. The Disable* fields exist for ablation
-// studies (cmd/octbench -exp ablation) and default to the full algorithm.
+// studies (cmd/octbench -exp ablation) and default to the full algorithm;
+// MIS.MaxExactComponent = -1 is the greedy-MIS ablation, the greedy +
+// local-search heuristic everywhere.
 type Options struct {
 	// MIS configures the independent-set solver.
 	MIS mis.Options
 	// UsePartitionSolver switches the hypergraph MIS to the
 	// partitioning-based algorithm (the paper's choice for sparse
-	// hypergraphs, [15]); the default branch-and-reduce solver dominates it
-	// empirically, so this is off unless requested.
+	// hypergraphs, [15]) with partitionParts parts; the default
+	// branch-and-reduce solver dominates it empirically, so this is off
+	// unless requested.
 	UsePartitionSolver bool
-	// PartitionParts is the number of parts for the partition solver.
-	PartitionParts int
-	// GreedyMISOnly skips exact conflict resolution and uses the greedy +
-	// local-search heuristic everywhere (ablation: how much does solving
-	// MIS well matter?).
-	GreedyMISOnly bool
 	// Disable3Conflicts analyzes 2-conflicts only (ablation: what do the
 	// Section 3.2 triples buy?).
 	Disable3Conflicts bool
@@ -63,9 +60,13 @@ type Options struct {
 	DisableAdmission bool
 }
 
+// partitionParts is the number of parts the partition solver splits the
+// conflict hypergraph into.
+const partitionParts = 4
+
 // DefaultOptions returns the configuration used in the experiments.
 func DefaultOptions() Options {
-	return Options{MIS: mis.DefaultOptions(), PartitionParts: 4}
+	return Options{MIS: mis.DefaultOptions()}
 }
 
 // Result is a constructed tree plus the run's provenance.
@@ -142,14 +143,9 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts 
 	ssp, sctx := span.ChildContext(ctx, "solve")
 	g := conflict.BuildHypergraph(inst, analysis)
 	var misRes mis.Result
-	switch {
-	case opts.GreedyMISOnly:
-		misOpts := opts.MIS
-		misOpts.MaxExactComponent = -1
-		misRes, err = mis.SolveContext(sctx, g, misOpts)
-	case opts.UsePartitionSolver && g.Triangles() > 0:
-		misRes, err = mis.SolvePartitionContext(sctx, g, opts.PartitionParts, opts.MIS)
-	default:
+	if opts.UsePartitionSolver && g.Triangles() > 0 {
+		misRes, err = mis.SolvePartitionContext(sctx, g, partitionParts, opts.MIS)
+	} else {
 		misRes, err = mis.SolveContext(sctx, g, opts.MIS)
 	}
 	solveDur := ssp.End()
@@ -212,7 +208,7 @@ func Assemble(ctx context.Context, inst *oct.Instance, cfg oct.Config, analysis 
 	// Perfect-Recall and Exact never contest items under the standard
 	// bound of 1; with higher bounds, duplicates can exist and Algorithm 2
 	// must run (the varying-bounds extension of Section 3.3).
-	skipAssign := cfg.Variant.Base() == sim.BasePR && !hasBounds(cfg)
+	skipAssign := cfg.Variant.Base() == sim.BasePR && !cfg.HasBounds()
 	if !skipAssign {
 		if err := assign.New(inst, cfg, res.Tree, res.CatOf, res.Selected).RunContext(ctx); err != nil {
 			sp.End()
@@ -310,7 +306,7 @@ func construct(inst *oct.Instance, cfg oct.Config, analysis *conflict.Result, se
 				limit := float64(sa.Items.Len()) / cfg.Delta0(sa)
 				before := float64(unions[aq].Len())
 				after := float64(unions[aq].UnionSize(items))
-				if before <= limit+1e-9 && after > limit+1e-9 {
+				if before <= limit+sim.Eps && after > limit+sim.Eps {
 					brokenW += sa.Weight
 				}
 			}
@@ -389,10 +385,6 @@ func branchReps(catOf map[oct.SetID]*tree.Node, qs []oct.SetID) []*tree.Node {
 		}
 	}
 	return reps
-}
-
-func hasBounds(cfg oct.Config) bool {
-	return cfg.DefaultItemBound > 1 || len(cfg.ItemBounds) > 0
 }
 
 func isAncestorOrSelf(anc, n *tree.Node) bool {

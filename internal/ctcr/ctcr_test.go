@@ -529,7 +529,7 @@ func TestRandomBoundsStayValid(t *testing.T) {
 func TestAblationOptionsStillValid(t *testing.T) {
 	inst := randomInstance(xrand.New(606), 15, 40)
 	muts := []func(*Options){
-		func(o *Options) { o.GreedyMISOnly = true },
+		func(o *Options) { o.MIS.MaxExactComponent = -1 },
 		func(o *Options) { o.Disable3Conflicts = true },
 		func(o *Options) { o.DisableIntermediates = true },
 		func(o *Options) { o.DisableAdmission = true },

@@ -49,7 +49,7 @@ type combo struct {
 
 func defaultCombos() []combo {
 	greedy := delta.DefaultOptions()
-	greedy.CTCR.GreedyMISOnly = true
+	greedy.CTCR.MIS.MaxExactComponent = -1
 	no3 := delta.DefaultOptions()
 	no3.CTCR.Disable3Conflicts = true
 	tinyBudget := delta.DefaultOptions()

@@ -283,14 +283,10 @@ func (e *Engine) solveComponent(ctx context.Context, members []int32) (cachedSol
 			}
 		}
 	}
-	misOpts := e.opts.CTCR.MIS
-	if e.opts.CTCR.GreedyMISOnly {
-		misOpts.MaxExactComponent = -1
-	}
 	// The component solver runs over local vertex numbering; detach any
 	// ledger recorder so its records cannot leak local IDs — the caller
 	// records the solve in the compact build space instead.
-	res, err := mis.SolveContext(ledger.WithRecorder(ctx, nil), h, misOpts)
+	res, err := mis.SolveContext(ledger.WithRecorder(ctx, nil), h, e.opts.CTCR.MIS)
 	if err != nil {
 		return cachedSolve{}, err
 	}

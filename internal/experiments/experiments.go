@@ -572,12 +572,12 @@ func Ablation(ctx context.Context, opts Options) (*Result, error) {
 	}
 	cases := []caseDef{
 		{"full CTCR", sim.ThresholdJaccard, 0.8, func(*ctcr.Options) {}},
-		{"greedy MIS only", sim.ThresholdJaccard, 0.8, func(o *ctcr.Options) { o.GreedyMISOnly = true }},
+		{"greedy MIS only", sim.ThresholdJaccard, 0.8, func(o *ctcr.Options) { o.MIS.MaxExactComponent = -1 }},
 		{"no intermediate categories", sim.ThresholdJaccard, 0.8, func(o *ctcr.Options) { o.DisableIntermediates = true }},
 		{"full CTCR", sim.PerfectRecall, 0.6, func(*ctcr.Options) {}},
 		{"no 3-conflicts", sim.PerfectRecall, 0.6, func(o *ctcr.Options) { o.Disable3Conflicts = true }},
 		{"no admission guard", sim.PerfectRecall, 0.6, func(o *ctcr.Options) { o.DisableAdmission = true }},
-		{"partition MIS solver", sim.PerfectRecall, 0.6, func(o *ctcr.Options) { o.UsePartitionSolver = true; o.PartitionParts = 4 }},
+		{"partition MIS solver", sim.PerfectRecall, 0.6, func(o *ctcr.Options) { o.UsePartitionSolver = true }},
 	}
 	full := map[sim.Variant]float64{}
 	for _, c := range cases {

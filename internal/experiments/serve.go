@@ -24,11 +24,12 @@ import (
 // full scale, reported as a row at every scale.
 const flightOverheadBudget = 0.05
 
-// serveTree builds a deterministic two-level category tree shaped like the
+// ServeTree builds a deterministic two-level category tree shaped like the
 // read-index benchmarks: top categories partition the universe, each with a
 // fan of subset subcategories. It is the serving fixture, not a pipeline
-// product — the serve experiment measures the read path, not construction.
-func serveTree(seed int64, universe, tops, subsPerTop int) *tree.Tree {
+// product — the serve experiment and cmd/flightdump measure the read path,
+// not construction.
+func ServeTree(seed int64, universe, tops, subsPerTop int) *tree.Tree {
 	rng := xrand.New(seed)
 	t := tree.New(intset.Range(0, intset.Item(universe)))
 	per := universe / tops
@@ -108,13 +109,14 @@ func (s servePhaseStats) wallPerRequest() time.Duration {
 // pair: workers goroutines each keep one /categorize request in flight while
 // snapshots publish on a ticker. When rec is non-nil every request also runs
 // through the flight recorder exactly as octserve's instrument wrapper does
-// (Start, wide-event annotation by the handler, traced histogram observe,
-// Finish) — the recorder-on vs recorder-off delta is the recorder's cost.
+// (StartAt, wide-event annotation by the handler, traced histogram observe,
+// FinishLatency) — the recorder-on vs recorder-off delta is the recorder's
+// cost.
 func servePhase(ctx context.Context, opts Options, workers, perWorker int, rec *flight.Recorder, reg *obs.Registry, hist *obs.Histogram) (servePhaseStats, error) {
 	const distinctQueries = 4096
 	pub := serve.NewPublisher(reg, 0)
 	universe := 20000
-	pub.Publish(serveTree(opts.Seed, universe, 20, 14))
+	pub.Publish(ServeTree(opts.Seed, universe, 20, 14))
 	rd := serve.NewReader(pub, serve.Options{Variant: sim.CutoffJaccard, Delta: 0.3, Registry: reg})
 
 	// Pre-build the query mix: mostly small in-category sets, reused across
@@ -145,7 +147,7 @@ func servePhase(ctx context.Context, opts Options, workers, perWorker int, rec *
 	// bigger than the effect under test).
 	churn := make([]*tree.Tree, 8)
 	for i := range churn {
-		churn[i] = serveTree(opts.Seed+int64(i)+2, universe, 20, 14)
+		churn[i] = ServeTree(opts.Seed+int64(i)+2, universe, 20, 14)
 	}
 
 	var errors atomic.Int64
@@ -231,11 +233,11 @@ func servePhase(ctx context.Context, opts Options, workers, perWorker int, rec *
 
 	snap := reg.Snapshot()
 	stats := servePhaseStats{
-		total:     snap.Histograms["serveexp/latency"].Count,
+		total:     snap.Histograms["http.categorize/latency"].Count,
 		errors:    errors.Load(),
 		wall:      wall,
 		cpu:       cpu,
-		stat:      snap.Histograms["serveexp/latency"],
+		stat:      snap.Histograms["http.categorize/latency"],
 		hits:      snap.Counters["readcache/hits"],
 		misses:    snap.Counters["readcache/misses"],
 		publishes: publishes.Load(),
@@ -271,16 +273,13 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 
 	runPhase := func(workers, perWorker int, withFlight bool) (servePhaseStats, error) {
 		reg := obs.NewRegistry()
-		hist := reg.Histogram("serveexp/latency")
+		// Named as octserve names the endpoint's histogram, so the
+		// recorder's adaptive slow threshold reads the one the driver fills
+		// and genuinely slow requests retain mid-run just like in production.
+		hist := reg.Histogram("http.categorize/latency")
 		var rec *flight.Recorder
 		if withFlight {
-			// The recorder's adaptive slow threshold reads the same histogram
-			// the driver fills, so genuinely slow requests retain mid-run
-			// just like in production.
-			rec = flight.New(flight.Options{
-				Registry:         reg,
-				LatencyHistogram: func(string) *obs.Histogram { return hist },
-			})
+			rec = flight.New(flight.Options{Registry: reg})
 		}
 		return servePhase(ctx, opts, workers, perWorker, rec, reg, hist)
 	}

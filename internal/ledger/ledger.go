@@ -358,27 +358,6 @@ func (l *Ledger) Len() int {
 	return len(l.Records)
 }
 
-// CompactOf translates an engine-stable (catalog) set ID into the ledger's
-// build-stage ID space. Identity when the ledger has no translation table;
-// -1 when the stable ID is not part of the build.
-func (l *Ledger) CompactOf(stable int32) int32 {
-	if l == nil {
-		return -1
-	}
-	if l.StableOf == nil {
-		if int(stable) < 0 || int(stable) >= l.Meta.Sets {
-			return -1
-		}
-		return stable
-	}
-	for c, s := range l.StableOf {
-		if s == stable {
-			return int32(c)
-		}
-	}
-	return -1
-}
-
 // Stable translates a build-stage set ID back to the catalog's stable ID
 // space (identity on full builds).
 func (l *Ledger) Stable(compact int32) int32 {

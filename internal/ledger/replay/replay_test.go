@@ -46,7 +46,7 @@ func TestReplayReproducesFullBuild(t *testing.T) {
 		{"exact", sim.Exact, 1, ctcr.DefaultOptions},
 		{"greedy", sim.ThresholdJaccard, 0.6, func() ctcr.Options {
 			o := ctcr.DefaultOptions()
-			o.GreedyMISOnly = true
+			o.MIS.MaxExactComponent = -1
 			return o
 		}},
 		{"no3", sim.ThresholdJaccard, 0.6, func() ctcr.Options {

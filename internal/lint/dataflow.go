@@ -15,9 +15,8 @@ import (
 //
 // Packages are type-checked independently against export data, so the same
 // function or type is a different types.Object in each package that sees it.
-// All interprocedural tables (annotations, summaries, the call graph) are
-// therefore keyed by strings that are identical no matter which package
-// minted the object.
+// All interprocedural tables (annotations, summaries) are therefore keyed
+// by strings that are identical no matter which package minted the object.
 
 // genericArgs strips instantiation brackets so generic functions and types
 // key the same across instantiations: "Pointer[pkg.Snapshot]" → "Pointer".

@@ -342,26 +342,6 @@ func TestExternalSummaries(t *testing.T) {
 	}
 }
 
-func TestCallGraph(t *testing.T) {
-	pkg := checkSrc(t, "fix/graph", `package graph
-
-func a() { b() }
-func b() { c() }
-func c() {}
-func d() {}
-`)
-	g := NewProgram([]*Package{pkg}).CallGraph()
-	if !g.Reachable("fix/graph.a", "fix/graph.c") {
-		t.Error("a should reach c transitively")
-	}
-	if g.Reachable("fix/graph.a", "fix/graph.d") {
-		t.Error("a should not reach d")
-	}
-	if got := g.Callees("fix/graph.a"); len(got) != 1 || got[0] != "fix/graph.b" {
-		t.Errorf("Callees(a) = %v", got)
-	}
-}
-
 func TestCrossPackageSummary(t *testing.T) {
 	base := checkSrc(t, "fix/xbase", `package xbase
 

@@ -58,9 +58,8 @@ type Pass struct {
 	// Pkg is the package under analysis.
 	Pkg *Package
 	// Prog is the whole-load view: //oct: annotations, cross-package
-	// function summaries, the call graph, and the atomic-field table. All
-	// packages of one Run share it; its tables are computed lazily on first
-	// use.
+	// function summaries, and the atomic-field table. All packages of one
+	// Run share it; its tables are computed lazily on first use.
 	Prog *Program
 
 	diags *[]Diagnostic

@@ -8,8 +8,8 @@ import (
 )
 
 // Program is the whole-load view the dataflow analyzers work from: every
-// package of one Run, the //oct: annotation table, the call graph, and the
-// function summaries. All interprocedural tables are keyed by ObjKey /
+// package of one Run, the //oct: annotation table, and the function
+// summaries. All interprocedural tables are keyed by ObjKey /
 // TypeKey strings, so facts line up across packages that were type-checked
 // against different copies of the same dependency (source here, export data
 // there).
@@ -28,18 +28,12 @@ type Program struct {
 	sumOnce sync.Once
 	sums    map[string]*Summary
 
-	graphOnce sync.Once
-	graph     *CallGraph
-
 	atomicOnce sync.Once
 	atomics    map[string]token.Position
 }
 
 // NewProgram wraps one load's packages for analysis.
 func NewProgram(pkgs []*Package) *Program { return &Program{pkgs: pkgs} }
-
-// Packages returns the load's packages.
-func (p *Program) Packages() []*Package { return p.pkgs }
 
 // Annotations returns the //oct: directive table for every declaration in
 // the program.
@@ -92,14 +86,6 @@ func (p *Program) Summary(key string) *Summary {
 	return externalSummary(key)
 }
 
-// CallGraph returns the program's static call graph.
-func (p *Program) CallGraph() *CallGraph {
-	p.graphOnce.Do(func() {
-		p.graph = buildCallGraph(p.funcNodes())
-	})
-	return p.graph
-}
-
 // AtomicFields returns the fields accessed through a sync/atomic
 // package-level function anywhere in the program (key: TypeKey of the
 // owning struct + "." + field name), mapped to the first atomic access
@@ -113,15 +99,6 @@ func (p *Program) AtomicFields() map[string]token.Position {
 		}
 	})
 	return p.atomics
-}
-
-// FuncDeclOf returns the source declaration for key when the function was
-// analyzed from source in this program, else nil.
-func (p *Program) FuncDeclOf(key string) *ast.FuncDecl {
-	if n, ok := p.funcNodes()[key]; ok {
-		return n.decl
-	}
-	return nil
 }
 
 // collectAtomicFields records fields whose address is passed to a

@@ -37,23 +37,6 @@ func SourceContribution(inst *oct.Instance, cfg oct.Config, t *tree.Tree) map[st
 	return bySource
 }
 
-// WeightShare returns, per Source tag, the share of the total input weight
-// (the controlled variable of Table 1).
-func WeightShare(inst *oct.Instance) map[string]float64 {
-	out := make(map[string]float64)
-	total := 0.0
-	for _, s := range inst.Sets {
-		out[s.Source] += s.Weight
-		total += s.Weight
-	}
-	if total > 0 {
-		for k := range out {
-			out[k] /= total
-		}
-	}
-	return out
-}
-
 // Cohesiveness computes the average pairwise tf-idf cosine similarity of
 // product titles within each category (excluding the root), returning both
 // the uniform average across categories and the category-size-weighted

@@ -29,10 +29,6 @@ func TestSourceContribution(t *testing.T) {
 	if math.Abs(contrib["query"]-0.75) > 1e-12 || math.Abs(contrib["existing"]-0.25) > 1e-12 {
 		t.Fatalf("contribution = %v", contrib)
 	}
-	shares := WeightShare(inst)
-	if math.Abs(shares["query"]-5.0/6.0) > 1e-12 {
-		t.Fatalf("weight share = %v", shares)
-	}
 }
 
 func TestCohesivenessOrdersPureVsMixed(t *testing.T) {

@@ -89,21 +89,3 @@ func TestStartSpanContextWithoutRecorderIsInert(t *testing.T) {
 		t.Fatalf("duration = %v", d)
 	}
 }
-
-func TestPublishOnceIsIdempotent(t *testing.T) {
-	r1, r2 := NewRegistry(), NewRegistry()
-	r1.Counter("c").Inc()
-	if !r1.PublishOnce("obs_test_publish_once") {
-		t.Fatal("first publication reported false")
-	}
-	// Same name again — from any registry — must neither panic nor rebind.
-	if r1.PublishOnce("obs_test_publish_once") {
-		t.Fatal("second publication reported true")
-	}
-	if r2.PublishOnce("obs_test_publish_once") {
-		t.Fatal("other-registry publication reported true")
-	}
-	if !r2.PublishOnce("obs_test_publish_once_2") {
-		t.Fatal("fresh name refused")
-	}
-}

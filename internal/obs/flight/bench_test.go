@@ -9,15 +9,14 @@ import (
 )
 
 // BenchmarkRequestCycle measures the full per-request recorder cost exactly
-// as the serve path pays it: Start, one handler span recorded into the
+// as the serve path pays it: StartAt, one handler span recorded into the
 // per-request trace recorder, annotations, a traced histogram observe, and
-// Finish (healthy request — nothing retains). This is the number the serve
-// experiment's 5% overhead budget is made of.
+// FinishLatency (healthy request — nothing retains). This is the number the
+// serve experiment's 5% overhead budget is made of.
 func BenchmarkRequestCycle(b *testing.B) {
 	reg := obs.NewRegistry()
 	hist := reg.Histogram("http.categorize/latency")
-	rec := New(Options{Registry: reg, LatencyHistogram: func(string) *obs.Histogram { return hist }})
-	ep := rec.Endpoint("categorize")
+	ep := New(Options{Registry: reg}).Endpoint("categorize")
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -293,9 +293,26 @@ func (s *store) len() int {
 	return len(s.order)
 }
 
-// thresholdRefresh is how many finishes an endpoint's cached slow threshold
-// serves before it is recomputed from the live histogram.
-const thresholdRefresh = 128
+// The tail-sampling policy and the objectives /debug/slo reports against.
+const (
+	// thresholdRefresh is how many finishes an endpoint's cached slow
+	// threshold serves before it is recomputed from the live histogram.
+	thresholdRefresh = 128
+	// slowQuantile is the adaptive threshold's quantile: a request is
+	// "slow" when it exceeds its endpoint's live p99.
+	slowQuantile = 0.99
+	// minSamples is how many observations an endpoint's histogram needs
+	// before the adaptive threshold activates: early traffic must not be
+	// tail-sampled against a meaningless quantile.
+	minSamples = 256
+	// sloAvailability is the availability objective burn rates are
+	// computed against.
+	sloAvailability = 0.999
+	// sloLatency and sloLatencyQuantile form the latency objective "99% of
+	// requests complete within 250ms".
+	sloLatency         = 250 * time.Millisecond
+	sloLatencyQuantile = 0.99
+)
 
 // endpointThreshold caches one endpoint's adaptive slow cutoff.
 type endpointThreshold struct {
@@ -304,42 +321,23 @@ type endpointThreshold struct {
 }
 
 // Options configures a Recorder. The zero value is usable: a 4096-event
-// ring, 256 retained traces, slow sampling above the live p99 once an
-// endpoint has 256 samples.
+// ring and 256 retained traces.
 type Options struct {
 	// RingSize bounds the wide-event ring (0 = 4096).
 	RingSize int
 	// RetainTraces bounds the retained-trace store (0 = 256).
 	RetainTraces int
 	// Registry is where the per-endpoint latency histograms live; the
-	// adaptive slow threshold for endpoint E reads the quantile of
-	// "http.<E>/latency". Nil disables slow-based retention (errors and
-	// forced samples still retain).
+	// adaptive slow threshold for endpoint E reads the p99 of
+	// "http.<E>/latency" once it holds 256 observations. Nil disables
+	// slow-based retention (errors and forced samples still retain).
 	Registry *obs.Registry
-	// LatencyHistogram overrides the histogram lookup (the serve load
-	// driver points it at its own histogram). Takes precedence over
-	// Registry's naming convention when non-nil.
-	LatencyHistogram func(endpoint string) *obs.Histogram
-	// SlowQuantile is the adaptive threshold's quantile (0 = 0.99): a
-	// request is "slow" when it exceeds the endpoint's live q-quantile.
-	SlowQuantile float64
-	// MinSamples is how many observations an endpoint's histogram needs
-	// before the adaptive threshold activates (0 = 256) — early traffic
-	// must not be tail-sampled against a meaningless quantile.
-	MinSamples int
-	// SLOAvailability is the availability objective /debug/slo computes
-	// burn rates against (0 = 0.999).
-	SLOAvailability float64
-	// SLOLatency and SLOLatencyQuantile form the latency objective
-	// "SLOLatencyQuantile of requests complete within SLOLatency"
-	// (0 = 250ms at 0.99).
-	SLOLatency         time.Duration
-	SLOLatencyQuantile float64
 }
 
 // Recorder is the flight recorder. All methods are safe for arbitrary
-// concurrency; a nil *Recorder is inert (Start returns a nil *Request whose
-// methods are all no-ops), so callers wire it unconditionally.
+// concurrency; a nil *Recorder is inert (its Endpoint handles are nil, and
+// their StartAt returns a nil *Request whose methods are all no-ops), so
+// callers wire it unconditionally.
 type Recorder struct {
 	opt        Options
 	ring       *ring
@@ -349,8 +347,8 @@ type Recorder struct {
 	retained   *obs.Counter
 	// reqs pools per-request state (the Request and its embedded trace
 	// recorder, event storage included), so steady-state requests allocate
-	// nothing here. Finish returns the request to the pool — a *Request must
-	// not be touched after Finish.
+	// nothing here. FinishLatency returns the request to the pool — a
+	// *Request must not be touched after FinishLatency.
 	reqs sync.Pool
 }
 
@@ -362,27 +360,6 @@ func New(opt Options) *Recorder {
 	}
 	if opt.RetainTraces <= 0 {
 		opt.RetainTraces = 256
-	}
-	if opt.SlowQuantile <= 0 || opt.SlowQuantile >= 1 {
-		opt.SlowQuantile = 0.99
-	}
-	if opt.MinSamples <= 0 {
-		opt.MinSamples = 256
-	}
-	if opt.SLOAvailability <= 0 || opt.SLOAvailability >= 1 {
-		opt.SLOAvailability = 0.999
-	}
-	if opt.SLOLatency <= 0 {
-		opt.SLOLatency = 250 * time.Millisecond
-	}
-	if opt.SLOLatencyQuantile <= 0 || opt.SLOLatencyQuantile >= 1 {
-		opt.SLOLatencyQuantile = 0.99
-	}
-	if opt.LatencyHistogram == nil && opt.Registry != nil {
-		reg := opt.Registry
-		opt.LatencyHistogram = func(endpoint string) *obs.Histogram {
-			return reg.Histogram("http." + endpoint + "/latency")
-		}
 	}
 	rec := &Recorder{
 		opt:   opt,
@@ -448,42 +425,16 @@ func (rec *Recorder) SlowThreshold(endpoint string) time.Duration {
 
 // current returns the cached cutoff, recomputing it from hist every
 // thresholdRefresh calls. hist may be nil (slow sampling off).
-func (et *endpointThreshold) current(hist *obs.Histogram, minSamples int, q float64) time.Duration {
+func (et *endpointThreshold) current(hist *obs.Histogram) time.Duration {
 	if et.countdown.Add(-1) <= 0 {
 		et.countdown.Store(thresholdRefresh)
 		ns := int64(0)
-		if hist != nil && hist.Count() >= int64(minSamples) {
-			ns = hist.Quantile(q).Nanoseconds()
+		if hist != nil && hist.Count() >= minSamples {
+			ns = hist.Quantile(slowQuantile).Nanoseconds()
 		}
 		et.ns.Store(ns)
 	}
 	return time.Duration(et.ns.Load())
-}
-
-// endpointState resolves (or creates) the threshold slot for endpoint.
-func (rec *Recorder) endpointState(endpoint string) *endpointThreshold {
-	v, ok := rec.thresholds.Load(endpoint)
-	if !ok {
-		v, _ = rec.thresholds.LoadOrStore(endpoint, &endpointThreshold{})
-	}
-	return v.(*endpointThreshold)
-}
-
-// histogramFor returns the endpoint's latency histogram, or nil when slow
-// sampling is unconfigured.
-func (rec *Recorder) histogramFor(endpoint string) *obs.Histogram {
-	if rec.opt.LatencyHistogram == nil {
-		return nil
-	}
-	return rec.opt.LatencyHistogram(endpoint)
-}
-
-// threshold returns the cached cutoff for endpoint, recomputing it from the
-// live latency histogram every thresholdRefresh calls.
-//
-//oct:coldpath unpinned-endpoint fallback; may create the threshold slot
-func (rec *Recorder) threshold(endpoint string) time.Duration {
-	return rec.endpointState(endpoint).current(rec.histogramFor(endpoint), rec.opt.MinSamples, rec.opt.SlowQuantile)
 }
 
 // Endpoint resolves a per-endpoint handle once, so the per-request path pays
@@ -494,70 +445,54 @@ type Endpoint struct {
 	rec  *Recorder
 	name string
 	thr  *endpointThreshold
-	hist *obs.Histogram
+	hist *obs.Histogram // nil when the recorder has no registry
 }
 
-// Endpoint returns the handle for name.
+// Endpoint returns the handle for name. Handles for the same name share one
+// threshold slot.
 func (rec *Recorder) Endpoint(name string) *Endpoint {
 	if rec == nil {
 		return nil
 	}
-	return &Endpoint{rec: rec, name: name, thr: rec.endpointState(name), hist: rec.histogramFor(name)}
+	v, _ := rec.thresholds.LoadOrStore(name, &endpointThreshold{})
+	ep := &Endpoint{rec: rec, name: name, thr: v.(*endpointThreshold)}
+	if rec.opt.Registry != nil {
+		ep.hist = rec.opt.Registry.Histogram("http." + name + "/latency")
+	}
+	return ep
 }
 
 // Request is one in-flight request's recording state. It is created by
-// Start, mutated by the handler goroutine through the Set* annotations, and
-// sealed by Finish; a nil *Request is inert. The annotations are not
-// synchronized — they belong to the request's own goroutine, like the
-// http.Request itself. Finish recycles the Request into the recorder's
-// pool, so no method may be called on it afterwards.
+// Endpoint.StartAt, mutated by the handler goroutine through the Set*
+// annotations, and sealed by FinishLatency; a nil *Request is inert. The
+// annotations are not synchronized — they belong to the request's own
+// goroutine, like the http.Request itself. FinishLatency recycles the
+// Request into the recorder's pool, so no method may be called on it
+// afterwards.
 type Request struct {
 	rec    *Recorder
 	tr     trace.Recorder
-	ep     *Endpoint // non-nil when started through a handle; pins threshold + histogram
-	start  time.Time
+	ep     *Endpoint // pins the threshold slot and histogram
 	ev     Event
 	forced bool
 	done   bool
 }
 
-// Start begins recording one request: it arms a pooled per-request trace
-// recorder (attached to the returned context, so obs.StartSpanContext spans
-// land in it) and the wide event. force marks the request for unconditional
-// retention (?debug=1 / X-Flight-Sample).
-func (rec *Recorder) Start(ctx context.Context, endpoint, traceID string, force bool) (*Request, context.Context) {
-	if rec == nil {
-		return nil, ctx
-	}
-	return rec.StartAt(ctx, endpoint, traceID, force, time.Now())
-}
-
-// StartAt is Start with a caller-supplied start time: the instrument wrapper
-// reads the clock once per request for its latency histogram and hands the
-// same reading here.
-func (rec *Recorder) StartAt(ctx context.Context, endpoint, traceID string, force bool, at time.Time) (*Request, context.Context) {
-	if rec == nil {
-		return nil, ctx
-	}
-	return rec.startAt(ctx, nil, endpoint, traceID, force, at)
-}
-
-// StartAt begins recording through the pre-resolved handle — the hot-path
-// entry: no per-request endpoint map lookups.
+// StartAt begins recording one request that started at at (the instrument
+// wrapper reads the clock once per request for its latency histogram and
+// hands the same reading here). It arms a pooled per-request trace recorder,
+// attached to the returned context so obs.StartSpanContext spans land in it,
+// and the wide event. force marks the request for unconditional retention
+// (?debug=1 / X-Flight-Sample).
 func (ep *Endpoint) StartAt(ctx context.Context, traceID string, force bool, at time.Time) (*Request, context.Context) {
 	if ep == nil {
 		return nil, ctx
 	}
-	return ep.rec.startAt(ctx, ep, ep.name, traceID, force, at)
-}
-
-func (rec *Recorder) startAt(ctx context.Context, ep *Endpoint, endpoint, traceID string, force bool, at time.Time) (*Request, context.Context) {
-	q := rec.reqs.Get().(*Request)
+	q := ep.rec.reqs.Get().(*Request)
 	q.ep = ep
-	q.start = at
 	q.forced = force
 	q.done = false
-	q.ev = Event{TraceID: traceID, Endpoint: endpoint, Start: at}
+	q.ev = Event{TraceID: traceID, Endpoint: ep.name, Start: at}
 	q.tr.Reset(at)
 	// The request rides the trace recorder's Owner pointer, so one context
 	// value carries both the span destination and the wide-event state.
@@ -610,33 +545,11 @@ func (q *Request) SetCandidates(n int) {
 	q.ev.Candidates = n
 }
 
-// ForceSample marks the request for retention regardless of outcome.
-func (q *Request) ForceSample() {
-	if q == nil {
-		return
-	}
-	q.forced = true
-}
-
-// Finish seals the request: the tail-sampling decision runs (forced, error
-// status ≥ 500, or latency above the endpoint's adaptive threshold retain
-// the span tree), and the wide event enters the ring. It returns the final
-// event for tests and callers that log it. The Request goes back to the
-// recorder's pool — it must not be used after Finish.
-func (q *Request) Finish(status int) Event {
-	if q == nil || q.done {
-		return Event{}
-	}
-	q.seal(status, time.Since(q.start))
-	ev := q.ev
-	q.rec.reqs.Put(q)
-	return ev
-}
-
-// FinishLatency is Finish with a caller-measured wall time, for callers that
-// already computed the request duration for their own histogram observe. It
-// returns nothing — the production wrappers discard the final event, so the
-// hot path skips the copy out of the pooled request.
+// FinishLatency seals the request with its caller-measured wall time d: the
+// tail-sampling decision runs (forced, error status ≥ 500, or latency above
+// the endpoint's adaptive threshold retain the span tree), and the wide
+// event enters the ring. The Request goes back to the recorder's pool — it
+// must not be used after FinishLatency.
 func (q *Request) FinishLatency(status int, d time.Duration) {
 	if q == nil || q.done {
 		return
@@ -660,13 +573,7 @@ func (q *Request) seal(status int, d time.Duration) {
 	case status >= 500:
 		q.ev.Reason = "error"
 	default:
-		var thr time.Duration
-		if q.ep != nil {
-			thr = q.ep.thr.current(q.ep.hist, q.rec.opt.MinSamples, q.rec.opt.SlowQuantile)
-		} else {
-			thr = q.rec.threshold(q.ev.Endpoint)
-		}
-		if thr > 0 && q.ev.Latency() > thr {
+		if thr := q.ep.thr.current(q.ep.hist); thr > 0 && q.ev.Latency() > thr {
 			q.ev.Reason = "slow"
 		}
 	}

@@ -14,7 +14,11 @@ import (
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var rec *Recorder
-	q, ctx := rec.Start(context.Background(), "categorize", "abc", false)
+	ep := rec.Endpoint("categorize")
+	if ep != nil {
+		t.Fatal("nil recorder returned a live endpoint handle")
+	}
+	q, ctx := ep.StartAt(context.Background(), "abc", false, time.Now())
 	if q != nil {
 		t.Fatal("nil recorder returned a live request")
 	}
@@ -23,20 +27,30 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 	q.SetCache(true)
 	q.SetItems(3)
-	q.ForceSample()
-	if ev := q.Finish(200); ev != (Event{}) {
-		t.Fatalf("nil request finish = %+v", ev)
-	}
+	q.FinishLatency(200, time.Millisecond)
 	if rec.Events() != nil || rec.Retained() != 0 || rec.Trace("x") != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 }
 
+// finish runs one request through ep that took d and ended with status, and
+// returns its wide event as the ring recorded it.
+func finish(t *testing.T, rec *Recorder, ep *Endpoint, traceID string, force bool, status int, d time.Duration) Event {
+	t.Helper()
+	q, _ := ep.StartAt(context.Background(), traceID, force, time.Now())
+	q.FinishLatency(status, d)
+	ev := rec.Events()[0]
+	if ev.TraceID != traceID {
+		t.Fatalf("newest ring event is %q, want %q", ev.TraceID, traceID)
+	}
+	return ev
+}
+
 func TestRingRecordsNewestFirst(t *testing.T) {
 	rec := New(Options{RingSize: 4})
+	ep := rec.Endpoint("categorize")
 	for i := 0; i < 6; i++ {
-		q, _ := rec.Start(context.Background(), "categorize", fmt.Sprintf("id-%d", i), false)
-		q.Finish(200)
+		finish(t, rec, ep, fmt.Sprintf("id-%d", i), false, 200, time.Microsecond)
 	}
 	evs := rec.Events()
 	if len(evs) != 4 {
@@ -51,24 +65,22 @@ func TestRingRecordsNewestFirst(t *testing.T) {
 
 func TestForcedAndErrorRetention(t *testing.T) {
 	rec := New(Options{RingSize: 8, RetainTraces: 8})
+	ep := rec.Endpoint("categorize")
 
-	q, ctx := rec.Start(context.Background(), "categorize", "forced-1", true)
+	q, ctx := ep.StartAt(context.Background(), "forced-1", true, time.Now())
 	sp, _ := obs.StartSpanContext(ctx, "read.categorize")
 	sp.End()
 	q.SetCache(false)
 	q.SetSnapshotVersion(7)
-	ev := q.Finish(200)
-	if !ev.Retained || ev.Reason != "forced" {
+	q.FinishLatency(200, time.Microsecond)
+	if ev := rec.Events()[0]; ev.TraceID != "forced-1" || !ev.Retained || ev.Reason != "forced" {
 		t.Fatalf("forced request not retained: %+v", ev)
 	}
 
-	q2, _ := rec.Start(context.Background(), "categorize", "err-1", false)
-	if ev := q2.Finish(503); !ev.Retained || ev.Reason != "error" {
+	if ev := finish(t, rec, ep, "err-1", false, 503, time.Microsecond); !ev.Retained || ev.Reason != "error" {
 		t.Fatalf("5xx request not retained: %+v", ev)
 	}
-
-	q3, _ := rec.Start(context.Background(), "categorize", "ok-1", false)
-	if ev := q3.Finish(200); ev.Retained {
+	if ev := finish(t, rec, ep, "ok-1", false, 200, time.Microsecond); ev.Retained {
 		t.Fatalf("healthy request retained: %+v", ev)
 	}
 
@@ -90,42 +102,43 @@ func TestForcedAndErrorRetention(t *testing.T) {
 func TestAdaptiveSlowThreshold(t *testing.T) {
 	reg := obs.NewRegistry()
 	hist := reg.Histogram("http.categorize/latency")
-	rec := New(Options{Registry: reg, MinSamples: 10})
+	rec := New(Options{Registry: reg})
+	ep := rec.Endpoint("categorize")
 
-	// Below MinSamples the threshold stays off: nothing retains as slow.
-	q, _ := rec.Start(context.Background(), "categorize", "early", false)
-	if ev := q.Finish(200); ev.Retained {
+	// Below minSamples observations the threshold stays off: a request far
+	// over any quantile of the histogram does not retain as slow.
+	for i := 0; i < minSamples-1; i++ {
+		hist.Observe(60 * time.Microsecond)
+	}
+	if ev := finish(t, rec, ep, "early", false, 200, 2*time.Millisecond); ev.Retained {
 		t.Fatalf("retained before the threshold exists: %+v", ev)
 	}
 
-	// Feed the histogram a tight distribution; p99 lands at the 100µs bound.
-	for i := 0; i < 1000; i++ {
-		hist.Observe(60 * time.Microsecond)
-	}
-	// Force a threshold refresh (cached for thresholdRefresh finishes).
-	for i := 0; i < thresholdRefresh+1; i++ {
-		q, _ := rec.Start(context.Background(), "categorize", fmt.Sprintf("warm-%d", i), false)
-		q.Finish(200)
+	// The minSamples-th observation arms it; p99 of this tight distribution
+	// lands at the 100µs bucket bound. The cached cutoff refreshes within
+	// thresholdRefresh finishes.
+	hist.Observe(60 * time.Microsecond)
+	for i := 0; i < thresholdRefresh; i++ {
+		finish(t, rec, ep, fmt.Sprintf("warm-%d", i), false, 200, time.Microsecond)
 	}
 	if thr := rec.SlowThreshold("categorize"); thr != 100*time.Microsecond {
 		t.Fatalf("threshold = %v, want 100µs", thr)
 	}
 
-	// A request far over the threshold retains as slow. Start it, sleep past
-	// the cutoff, finish.
-	slow, _ := rec.Start(context.Background(), "categorize", "slow-1", false)
-	time.Sleep(2 * time.Millisecond)
-	ev := slow.Finish(200)
+	ev := finish(t, rec, ep, "slow-1", false, 200, 2*time.Millisecond)
 	if !ev.Retained || ev.Reason != "slow" {
 		t.Fatalf("slow request not retained: %+v (threshold %v)", ev, rec.SlowThreshold("categorize"))
+	}
+	if rec.Trace("slow-1") == nil {
+		t.Fatal("slow trace not fetchable")
 	}
 }
 
 func TestStoreEvictsOldestRetention(t *testing.T) {
 	rec := New(Options{RetainTraces: 3})
+	ep := rec.Endpoint("nav")
 	for i := 0; i < 5; i++ {
-		q, _ := rec.Start(context.Background(), "nav", fmt.Sprintf("t-%d", i), true)
-		q.Finish(200)
+		finish(t, rec, ep, fmt.Sprintf("t-%d", i), true, 200, time.Microsecond)
 	}
 	if rec.Retained() != 3 {
 		t.Fatalf("retained = %d, want 3", rec.Retained())
@@ -146,6 +159,7 @@ func TestStoreEvictsOldestRetention(t *testing.T) {
 func TestConcurrentRecordReadRotate(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := New(Options{RingSize: 64, RetainTraces: 16, Registry: reg})
+	ep := rec.Endpoint("categorize")
 
 	const writers = 8
 	const perWriter = 500
@@ -158,7 +172,7 @@ func TestConcurrentRecordReadRotate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				force := i%97 == 0
-				q, ctx := rec.Start(context.Background(), "categorize", fmt.Sprintf("w%d-%d", w, i), force)
+				q, ctx := ep.StartAt(context.Background(), fmt.Sprintf("w%d-%d", w, i), force, time.Now())
 				sp, _ := obs.StartSpanContext(ctx, "read.categorize")
 				sp.End()
 				q.SetCache(i%2 == 0)
@@ -167,7 +181,7 @@ func TestConcurrentRecordReadRotate(t *testing.T) {
 				if i%151 == 0 {
 					status = 503
 				}
-				q.Finish(status)
+				q.FinishLatency(status, time.Microsecond)
 			}
 		}(w)
 	}
@@ -219,15 +233,14 @@ func TestConcurrentRecordReadRotate(t *testing.T) {
 
 func TestZPages(t *testing.T) {
 	rec := New(Options{RingSize: 16, RetainTraces: 4})
+	categorize := rec.Endpoint("categorize")
 	for i := 0; i < 3; i++ {
-		q, ctx := rec.Start(context.Background(), "categorize", fmt.Sprintf("c-%d", i), i == 0)
+		q, ctx := categorize.StartAt(context.Background(), fmt.Sprintf("c-%d", i), i == 0, time.Now())
 		sp, _ := obs.StartSpanContext(ctx, "read.categorize")
 		sp.End()
-		q.Finish(200)
+		q.FinishLatency(200, 50*time.Microsecond)
 	}
-	q, _ := rec.Start(context.Background(), "navigate", "n-0", false)
-	time.Sleep(time.Millisecond)
-	q.Finish(503)
+	finish(t, rec, rec.Endpoint("navigate"), "n-0", false, 503, time.Millisecond)
 
 	// /debug/requests with filters.
 	w := httptest.NewRecorder()

@@ -176,9 +176,9 @@ func (rec *Recorder) ServeSLO(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 
 	view := sloView{Endpoints: []sloEndpoint{}}
-	view.Objectives.Availability = rec.opt.SLOAvailability
-	view.Objectives.Latency = rec.opt.SLOLatency.String()
-	view.Objectives.LatencyQuantile = rec.opt.SLOLatencyQuantile
+	view.Objectives.Availability = sloAvailability
+	view.Objectives.Latency = sloLatency.String()
+	view.Objectives.LatencyQuantile = sloLatencyQuantile
 	for _, name := range names {
 		evs := byEndpoint[name]
 		lat := make([]time.Duration, len(evs))
@@ -189,7 +189,7 @@ func (rec *Recorder) ServeSLO(w http.ResponseWriter, r *http.Request) {
 			if ev.Status >= 500 {
 				errors++
 			}
-			if ev.Latency() > rec.opt.SLOLatency {
+			if ev.Latency() > sloLatency {
 				slow++
 			}
 			if ev.Start.Before(oldest) {
@@ -205,8 +205,8 @@ func (rec *Recorder) ServeSLO(w http.ResponseWriter, r *http.Request) {
 			Requests:             n,
 			Errors:               errors,
 			Availability:         1 - errRate,
-			AvailabilityBurnRate: errRate / (1 - rec.opt.SLOAvailability),
-			LatencyBurnRate:      slowRate / (1 - rec.opt.SLOLatencyQuantile),
+			AvailabilityBurnRate: errRate / (1 - sloAvailability),
+			LatencyBurnRate:      slowRate / (1 - sloLatencyQuantile),
 			P50:                  lat[quantileIndex(n, 0.50)].String(),
 			P99:                  lat[quantileIndex(n, 0.99)].String(),
 			P999:                 lat[quantileIndex(n, 0.999)].String(),

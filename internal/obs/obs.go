@@ -8,10 +8,9 @@
 // are single atomic operations, and lookup of an existing metric takes a
 // read lock only.
 //
-// A Registry snapshot is deterministic (map keys serialize sorted) and
-// expvar-compatible: publish Registry.Expvar() under any name to expose the
-// snapshot through the standard /debug/vars machinery, or serve
-// Registry.WriteJSON directly (what cmd/octserve's /metrics does).
+// A Registry snapshot is deterministic (map keys serialize sorted); serve
+// Registry.WriteJSON or the snapshot directly (what cmd/octserve's /metrics
+// does).
 //
 // Pipeline stages record through the registry their context carries
 // (StartSpanContext), falling back to the process-wide Default registry;
@@ -20,7 +19,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"math"
 	"sync"
@@ -287,36 +285,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Expvar adapts the registry to an expvar.Var so it can be published
-// alongside the standard /debug/vars metrics:
-//
-//	expvar.Publish("categorytree", reg.Expvar())
-func (r *Registry) Expvar() expvar.Func {
-	return expvar.Func(func() interface{} { return r.Snapshot() })
-}
-
-// expvarPublished tracks names already handed to expvar.Publish, which
-// panics on duplicates. Process-wide (not per registry): expvar's namespace
-// is process-wide too.
-var (
-	expvarMu        sync.Mutex
-	expvarPublished = make(map[string]bool)
-)
-
-// PublishOnce publishes the registry's Expvar under name exactly once per
-// process: repeated calls — tests constructing several servers, or a server
-// restarting its wiring — are no-ops instead of duplicate-name panics. It
-// reports whether this call performed the publication (false means an
-// earlier caller, possibly with a different registry, owns the name).
-func (r *Registry) PublishOnce(name string) bool {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvarPublished[name] {
-		return false
-	}
-	expvarPublished[name] = true
-	expvar.Publish(name, r.Expvar())
-	return true
 }

@@ -193,12 +193,3 @@ func TestDefaultRegistryHelpers(t *testing.T) {
 		t.Fatal("default timer not recorded")
 	}
 }
-
-func TestExpvarFunc(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(2)
-	out := r.Expvar().String()
-	if !strings.Contains(out, `"c":2`) && !strings.Contains(out, `"c": 2`) {
-		t.Fatalf("expvar output missing counter: %s", out)
-	}
-}

@@ -84,6 +84,13 @@ func (c Config) Bound(i intset.Item) int {
 	return 1
 }
 
+// HasBounds reports whether cfg sets branch bounds: a DefaultItemBound
+// above 1 or any ItemBounds. Without them every item is on one branch, the
+// case the conflict analysis and CTCR's construction take shortcuts for.
+func (c Config) HasBounds() bool {
+	return c.DefaultItemBound > 1 || len(c.ItemBounds) > 0
+}
+
 // Validate checks cfg for structural errors.
 func (c Config) Validate() error {
 	if c.Variant != sim.Exact && (c.Delta <= 0 || c.Delta > 1) {
@@ -173,15 +180,6 @@ func (inst *Instance) Ranking() []SetID {
 		return ids[a] < ids[b]
 	})
 	return ids
-}
-
-// AllItems returns the union of all input sets.
-func (inst *Instance) AllItems() intset.Set {
-	sets := make([]intset.Set, len(inst.Sets))
-	for i, s := range inst.Sets {
-		sets[i] = s.Items
-	}
-	return intset.UnionAll(sets)
 }
 
 // WriteJSON serializes the instance.

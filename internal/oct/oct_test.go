@@ -131,14 +131,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestAllItems(t *testing.T) {
-	inst := validInstance()
-	want := intset.New(0, 1, 2, 3, 5, 6, 7, 8)
-	if got := inst.AllItems(); !got.Equal(want) {
-		t.Fatalf("AllItems = %v, want %v", got, want)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	inst := validInstance()
 	var buf bytes.Buffer

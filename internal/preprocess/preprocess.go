@@ -21,7 +21,6 @@ import (
 	"categorytree/internal/intset"
 	"categorytree/internal/oct"
 	"categorytree/internal/queries"
-	"categorytree/internal/search"
 	"categorytree/internal/sim"
 	"categorytree/internal/tree"
 	"categorytree/internal/xrand"
@@ -97,12 +96,7 @@ func Run(c *catalog.Catalog, existing *tree.Tree, log []queries.RawQuery, opts O
 		}
 	}
 
-	// Index the catalog once.
-	ix := search.NewIndex()
-	for _, p := range c.Products {
-		ix.Add(int32(p.ID), p.Title)
-	}
-	ix.Build()
+	ix := c.SearchIndex()
 
 	// Branch of each item in the existing tree, for the scatter test. A
 	// "branch" is a top-level subtree: the filter targets nonsensical

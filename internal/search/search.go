@@ -113,9 +113,6 @@ func (ix *Index) idf(tok string) float64 {
 	return math.Log(1 + float64(ix.numDocs)/float64(df))
 }
 
-// NumDocs returns the number of indexed documents.
-func (ix *Index) NumDocs() int { return ix.numDocs }
-
 // Search scores documents against the query by TF-IDF cosine similarity,
 // normalizes scores so the best hit gets 1, drops hits below minScore, and
 // returns at most limit hits (0 = unlimited), best first. Scores sum over

@@ -16,6 +16,13 @@ import (
 	"categorytree/internal/tree"
 )
 
+// A q= text query keeps the search hits at or above the paper's relevance
+// threshold (§5.1), at most searchLimit of them.
+const (
+	searchMinScore = 0.8
+	searchLimit    = 100
+)
+
 // Options configures a Reader.
 type Options struct {
 	// Variant and Delta are the default similarity configuration; requests
@@ -25,10 +32,6 @@ type Options struct {
 	// Search resolves free-text q= queries to item result sets. Nil disables
 	// text queries (the endpoint then requires items=).
 	Search *search.Index
-	// SearchMinScore drops search hits below this relevance (0 uses the
-	// paper's 0.8); SearchLimit caps the result set (0 uses 100).
-	SearchMinScore float64
-	SearchLimit    int
 	// Registry receives the read-path counters (readcache/{hits,misses});
 	// nil uses a private registry.
 	Registry *obs.Registry
@@ -48,12 +51,6 @@ func NewReader(pub *Publisher, opt Options) *Reader {
 	reg := opt.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	if opt.SearchMinScore == 0 {
-		opt.SearchMinScore = 0.8
-	}
-	if opt.SearchLimit == 0 {
-		opt.SearchLimit = 100
 	}
 	return &Reader{
 		pub:    pub,
@@ -258,7 +255,7 @@ func (rd *Reader) resolveItems(w http.ResponseWriter, r *http.Request) (intset.S
 		}
 		toks := text.Tokenize(q)
 		norm := "q:" + strings.Join(toks, " ")
-		hits := rd.opt.Search.Search(strings.Join(toks, " "), rd.opt.SearchMinScore, rd.opt.SearchLimit)
+		hits := rd.opt.Search.Search(strings.Join(toks, " "), searchMinScore, searchLimit)
 		items := make([]intset.Item, 0, len(hits))
 		for _, h := range hits {
 			items = append(items, intset.Item(h.Doc))

@@ -153,7 +153,7 @@ func TestCategorizeByTextQuery(t *testing.T) {
 		ix.Add(int32(i), title)
 	}
 	ix.Build()
-	_, rd, _ := testReader(t, Options{Search: ix, SearchMinScore: 0.2})
+	_, rd, _ := testReader(t, Options{Search: ix})
 	rec := get(t, rd.Categorize, "/categorize?q=nike+shirt")
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)

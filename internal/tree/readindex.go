@@ -96,16 +96,6 @@ func BuildReadIndex(t *Tree) *ReadIndex {
 // Tree returns the tree the index was built from.
 func (ix *ReadIndex) Tree() *Tree { return ix.t }
 
-// NumPostings returns the total posting count (the index's item mass),
-// exposed for capacity gauges.
-func (ix *ReadIndex) NumPostings() int {
-	n := 0
-	for _, p := range ix.postings {
-		n += len(p)
-	}
-	return n
-}
-
 // BestCover returns the category with maximum similarity to q under
 // (v, delta) with the same tie-breaking as Tree.BestCover (ties prefer the
 // deeper category, then the earlier one in preorder), visiting only
