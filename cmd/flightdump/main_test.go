@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,6 +40,25 @@ func TestRunWritesBundle(t *testing.T) {
 	}
 	if reqs.Total == 0 || len(reqs.Requests) == 0 {
 		t.Fatalf("empty ring: %+v", reqs)
+	}
+
+	// The latency histogram holds every replayed request that did not answer
+	// 4xx, and its buckets carry trace ids as exemplars.
+	observed := 0
+	for _, r := range reqs.Requests {
+		if r.Status < 400 || r.Status >= 500 {
+			observed++
+		}
+	}
+	if reqs.Total != len(reqs.Requests) || observed == 0 || observed == reqs.Total {
+		t.Fatalf("ring: %d of %d requests listed, %d not 4xx; want all listed and a mix", len(reqs.Requests), reqs.Total, observed)
+	}
+	prom, _ := os.ReadFile(filepath.Join(out, "metrics.prom"))
+	if want := fmt.Sprintf("\noct_http_categorize_latency_seconds_count %d\n", observed); !strings.Contains(string(prom), want) {
+		t.Fatalf("metrics.prom lacks %q:\n%s", strings.TrimSpace(want), prom)
+	}
+	if !strings.Contains(string(prom), "oct_http_categorize_latency_seconds_bucket{") || !strings.Contains(string(prom), ` # {trace_id="`) {
+		t.Fatalf("metrics.prom has no categorize exemplar:\n%s", prom)
 	}
 
 	// The pre-publish 503s and forced requests both retain, so the traces

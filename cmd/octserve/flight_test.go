@@ -83,20 +83,6 @@ func TestInboundTraceContinuation(t *testing.T) {
 	}
 }
 
-// TestFlightDisabled: -flight-ring < 0 turns the recorder off; the zpages
-// answer 503 rather than pretending to have data, and reads still work.
-func TestFlightDisabled(t *testing.T) {
-	s := testServer(t, func(o *serverOptions) { o.FlightRing = -1 })
-	if rec := get(t, s, "/categorize?items=0,1&debug=1"); rec.Code != 200 {
-		t.Fatalf("categorize with recorder off: status %d", rec.Code)
-	}
-	for _, path := range []string{"/debug/requests", "/debug/traces", "/debug/traces/x", "/debug/slo"} {
-		if rec := get(t, s, path); rec.Code != 503 {
-			t.Fatalf("%s with recorder off: status %d, want 503", path, rec.Code)
-		}
-	}
-}
-
 // TestDebugSLO: the burn-rate page aggregates per endpoint from the ring.
 func TestDebugSLO(t *testing.T) {
 	s := testServer(t)
@@ -128,4 +114,26 @@ func TestDebugSLO(t *testing.T) {
 		}
 	}
 	t.Fatalf("no categorize row in %s", rec.Body.String())
+}
+
+// TestRejectedBuildsLeaveSlowThreshold: a rejected /build body answers 400 in
+// microseconds. Were such requests observed, 300 of them would pull the
+// build endpoint's p99, its slow threshold, down to the 50µs bucket, and
+// every successful sync build after them would be retained as slow.
+func TestRejectedBuildsLeaveSlowThreshold(t *testing.T) {
+	s := testServer(t)
+	for i := 0; i < 300; i++ {
+		if rec := postBuild(t, s, `{"algorithm":`); rec.Code != 400 {
+			t.Fatalf("malformed body %d: status %d, want 400", i, rec.Code)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		rec := postBuild(t, s, "{}")
+		if rec.Code != 200 {
+			t.Fatalf("sync build %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		if rt := s.flight.Trace(rec.Header().Get("X-Trace-Id")); rt != nil {
+			t.Fatalf("sync build %d retained as %q (slow threshold %v)", i, rt.Event.Reason, s.flight.SlowThreshold("build"))
+		}
+	}
 }

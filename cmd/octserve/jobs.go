@@ -137,6 +137,13 @@ func (j *job) view() jobView {
 	return v
 }
 
+// The async job registry's bounds: at most maxJobs jobs, and finished jobs
+// stay fetchable for jobTTL.
+const (
+	maxJobs = 16
+	jobTTL  = 10 * time.Minute
+)
+
 // jobRegistry is the bounded in-memory store of async builds. Terminal jobs
 // linger for ttl so clients can fetch results, then evict; the capacity bound
 // caps total memory, with running jobs never evicted (a full registry of
@@ -149,12 +156,6 @@ type jobRegistry struct {
 }
 
 func newJobRegistry(capacity int, ttl time.Duration) *jobRegistry {
-	if capacity <= 0 {
-		capacity = 16
-	}
-	if ttl <= 0 {
-		ttl = 10 * time.Minute
-	}
 	return &jobRegistry{jobs: make(map[string]*job), capacity: capacity, ttl: ttl}
 }
 

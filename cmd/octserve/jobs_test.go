@@ -315,15 +315,20 @@ func TestHealthzAndReadyz(t *testing.T) {
 	// A job registry saturated with running jobs flips readiness off.
 	full, err := newServer(serverOptions{
 		Tree: tree.New(nil), Variant: "exact", Delta: 1,
-		Registry: obs.NewRegistry(), Logger: discardLogger(), MaxJobs: 1,
+		Registry: obs.NewRegistry(), Logger: discardLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(full.Close)
-	j, err := full.jobs.create(obs.NewRegistry(), func() {})
-	if err != nil {
-		t.Fatal(err)
+	var j *job
+	for i := 0; i < maxJobs; i++ {
+		if rec := get(t, full, "/readyz"); rec.Code != 200 {
+			t.Fatalf("readyz with %d of %d jobs running: status %d", i, maxJobs, rec.Code)
+		}
+		if j, err = full.jobs.create(obs.NewRegistry(), func() {}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if rec := get(t, full, "/readyz"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated readyz: status %d, want 503", rec.Code)

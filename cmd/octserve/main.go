@@ -64,14 +64,17 @@
 //
 // Every request gets a trace id (echoed as X-Trace-Id; a well-formed inbound
 // X-Trace-Id is adopted, continuing the caller's trace) and one structured
-// access-log line; -log selects text or JSON log output. -flight-ring and
-// -trace-retain size the flight recorder. -ledger records a decision ledger
-// on every CTCR build and delta batch and publishes it with the snapshot,
-// enabling /explain; -tree "" starts the server treeless (deploy-then-load:
-// browsing endpoints answer 503 until a build publishes). The server shuts
-// down gracefully
-// on SIGINT or SIGTERM: in-flight async jobs are canceled through their
-// contexts, then HTTP requests drain for up to 10 seconds.
+// access-log line; -log selects text or JSON log output. The flight
+// recorder always runs, holding the last 4096 wide events and 256 retained
+// traces; http.<E>/latency observes every request but 4xx ones. The async
+// job registry holds 16 jobs and keeps finished ones for 10 minutes, and
+// each snapshot caches 4096 read responses. -ledger records a decision
+// ledger on every CTCR build and delta batch and publishes it with the
+// snapshot, enabling /explain; -tree "" starts the server treeless
+// (deploy-then-load: browsing endpoints answer 503 until a build publishes).
+// The server shuts down gracefully on SIGINT or SIGTERM: in-flight async
+// jobs are canceled through their contexts, then HTTP requests drain for up
+// to 10 seconds.
 package main
 
 import (
@@ -101,12 +104,7 @@ func main() {
 		addr         = flag.String("addr", "localhost:8080", "listen address")
 		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		logFormat    = flag.String("log", "", "log format: text or json (default OCT_LOG_FORMAT, then text)")
-		maxJobs      = flag.Int("max-jobs", 16, "async build job registry capacity")
-		jobTTL       = flag.Duration("job-ttl", 10*time.Minute, "how long finished async jobs stay fetchable")
 		buildTimeout = flag.Duration("build-timeout", 60*time.Second, "sync /build deadline; longer builds take ?async=1")
-		readCache    = flag.Int("read-cache", 0, "per-snapshot response cache entries for /categorize and /navigate (0 = default 4096, negative disables)")
-		flightRing   = flag.Int("flight-ring", 0, "flight recorder wide-event ring size (0 = default 4096, negative disables the recorder)")
-		traceRetain  = flag.Int("trace-retain", 0, "retained tail-sampled traces for /debug/traces (0 = default 256)")
 		ledgerOn     = flag.Bool("ledger", false, "record a decision ledger on every build and serve /explain off the published snapshot")
 	)
 	flag.Parse()
@@ -131,20 +129,15 @@ func main() {
 	}
 
 	srv, err := newServer(serverOptions{
-		Tree:          tr,
-		Instance:      inst,
-		TitlesPath:    *titles,
-		Variant:       *variant,
-		Delta:         *delta,
-		Logger:        logger,
-		EnablePprof:   *pprofFlag,
-		MaxJobs:       *maxJobs,
-		JobTTL:        *jobTTL,
-		BuildTimeout:  *buildTimeout,
-		ReadCacheSize: *readCache,
-		FlightRing:    *flightRing,
-		TraceRetain:   *traceRetain,
-		Ledger:        *ledgerOn,
+		Tree:         tr,
+		Instance:     inst,
+		TitlesPath:   *titles,
+		Variant:      *variant,
+		Delta:        *delta,
+		Logger:       logger,
+		EnablePprof:  *pprofFlag,
+		BuildTimeout: *buildTimeout,
+		Ledger:       *ledgerOn,
 	})
 	fatal(err)
 

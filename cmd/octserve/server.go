@@ -49,21 +49,9 @@ type serverOptions struct {
 	Logger *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// MaxJobs bounds the async job registry (0 = 16); JobTTL is how long
-	// finished jobs stay fetchable (0 = 10m).
-	MaxJobs int
-	JobTTL  time.Duration
 	// BuildTimeout is the sync /build deadline (0 = 60s); longer builds take
 	// ?async=1.
 	BuildTimeout time.Duration
-	// ReadCacheSize bounds each snapshot's response cache for /categorize and
-	// /navigate (0 = serve's default, negative disables caching).
-	ReadCacheSize int
-	// FlightRing bounds the flight recorder's wide-event ring (0 = flight's
-	// default 4096, negative disables the recorder entirely); TraceRetain
-	// bounds its retained tail-sampled trace store (0 = 256).
-	FlightRing  int
-	TraceRetain int
 	// Ledger records a decision ledger on every CTCR build and delta batch
 	// and publishes it with the snapshot, enabling the /explain endpoints.
 	Ledger bool
@@ -83,9 +71,9 @@ type server struct {
 	reg      *obs.Registry
 	log      *slog.Logger
 	jobs     *jobRegistry
-	deadline time.Duration    // sync /build deadline (-build-timeout)
-	flight   *flight.Recorder // nil when disabled (-flight-ring < 0)
-	ledgerOn bool             // -ledger: record build provenance for /explain
+	deadline time.Duration // sync /build deadline (-build-timeout)
+	flight   *flight.Recorder
+	ledgerOn bool // -ledger: record build provenance for /explain
 	start    time.Time
 
 	// build runs one pipeline build for /build: runBuild, unless a test
@@ -122,13 +110,14 @@ func newServer(opts serverOptions) (*server, error) {
 	}
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &server{
-		pub:      serve.NewPublisher(reg, opts.ReadCacheSize),
+		pub:      serve.NewPublisher(reg, 0),
 		inst:     opts.Instance,
 		cfg:      oct.Config{Variant: v, Delta: opts.Delta},
 		mux:      http.NewServeMux(),
 		reg:      reg,
 		log:      logger,
-		jobs:     newJobRegistry(opts.MaxJobs, opts.JobTTL),
+		jobs:     newJobRegistry(maxJobs, jobTTL),
+		flight:   flight.New(flight.Options{Registry: reg}),
 		ledgerOn: opts.Ledger,
 		start:    time.Now(),
 		build:    runBuild,
@@ -138,13 +127,6 @@ func newServer(opts serverOptions) (*server, error) {
 	s.deadline = opts.BuildTimeout
 	if s.deadline <= 0 {
 		s.deadline = 60 * time.Second
-	}
-	if opts.FlightRing >= 0 {
-		s.flight = flight.New(flight.Options{
-			RingSize:     opts.FlightRing,
-			RetainTraces: opts.TraceRetain,
-			Registry:     reg,
-		})
 	}
 	if opts.TitlesPath != "" {
 		f, err := os.Open(opts.TitlesPath)
@@ -203,9 +185,7 @@ func newServer(opts serverOptions) (*server, error) {
 	s.mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))
 	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReadyz))
-	// Flight-recorder zpages. Registered unconditionally: the handlers
-	// answer 503 when the recorder is disabled, which beats a 404 that looks
-	// like a typo'd URL.
+	// Flight-recorder zpages.
 	s.mux.HandleFunc("GET /debug/requests", s.instrument("debug_requests", s.flight.ServeRequests))
 	s.mux.HandleFunc("GET /debug/traces", s.instrument("debug_traces", s.flight.ServeTraces))
 	s.mux.HandleFunc("GET /debug/traces/{id}", s.instrument("debug_trace", s.flight.ServeTrace))
@@ -304,16 +284,16 @@ func (w *responseRecorder) Flush() {
 }
 
 // instrument wraps a handler with per-endpoint observability: a request
-// counter, an error counter (status ≥ 400), a latency histogram whose
-// buckets carry the request's trace id as an exemplar, the flight recorder's
-// wide event + tail-sampling decision, and an `endpoint` pprof label so CPU
-// and goroutine profiles attribute samples by request class. It also scopes
-// the request context to the server's registry, which is what routes the
-// read path's spans (read.categorize, read.navigate) into /metrics.
+// counter, an error counter (status ≥ 400), the flight recorder's wide event
+// + tail-sampling decision, which also observes the latency histogram
+// (every status but 4xx, the request's trace id as exemplar), and an
+// `endpoint` pprof label so CPU and goroutine profiles attribute samples by
+// request class. It also scopes the request context to the server's
+// registry, which is what routes the read path's spans (read.categorize,
+// read.navigate) into /metrics.
 func (s *server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	requests := s.reg.Counter("http." + name + "/requests")
 	errors := s.reg.Counter("http." + name + "/errors")
-	latency := s.reg.Histogram("http." + name + "/latency")
 	endpoint := s.flight.Endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -330,9 +310,7 @@ func (s *server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		if sw.status >= 400 {
 			errors.Inc()
 		}
-		d := time.Since(t0)
-		latency.ObserveTrace(d, traceID)
-		fq.FinishLatency(sw.status, d)
+		fq.FinishLatency(sw.status, time.Since(t0))
 	}
 }
 

@@ -29,11 +29,11 @@ func main() {
 	rng := xrand.New(3030)
 	cat := catalog.GenerateElectronics(rng.Split(1), 3000)
 	existing := cat.ExistingTree()
-	log90 := queries.Generate(cat, rng.Split(2), queries.DefaultGenOptions(300))
+	log90 := queries.Generate(cat, rng.Split(2), 300)
 
 	const thresh = 0.8
 	cfg := ct.Config{Variant: ct.ThresholdJaccard, Delta: thresh}
-	opts := preprocess.DefaultOptions(sim.ThresholdJaccard, thresh)
+	opts := preprocess.Options{Variant: sim.ThresholdJaccard, Delta: thresh}
 	base, _ := preprocess.Run(cat, existing, log90, opts)
 
 	fmt.Println("weight ratio (queries/existing) -> score contribution by source")

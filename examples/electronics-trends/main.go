@@ -30,7 +30,7 @@ func main() {
 	rng := xrand.New(777)
 	cat := catalog.GenerateElectronics(rng.Split(1), 4000)
 	existing := cat.ExistingTree()
-	log90 := queries.Generate(cat, rng.Split(2), queries.DefaultGenOptions(400))
+	log90 := queries.Generate(cat, rng.Split(2), 400)
 
 	const delta = 0.8
 	cfg := ct.Config{Variant: ct.ThresholdJaccard, Delta: delta}
@@ -39,7 +39,7 @@ func main() {
 	memoryCards := cat.ItemsWith("type", "memory card")
 	fmt.Printf("catalog has %d memory cards (fitting cameras and phones)\n", memoryCards.Len())
 
-	opts := preprocess.DefaultOptions(sim.ThresholdJaccard, delta)
+	opts := preprocess.Options{Variant: sim.ThresholdJaccard, Delta: delta}
 	inst, _ := preprocess.Run(cat, existing, log90, opts)
 	res, err := ct.BuildCTCR(inst, cfg)
 	if err != nil {

@@ -29,13 +29,13 @@ func main() {
 
 	rng := xrand.New(2022)
 	cat := catalog.GenerateFashion(rng.Split(1), *items)
-	log90 := queries.Generate(cat, rng.Split(2), queries.DefaultGenOptions(*nq))
+	log90 := queries.Generate(cat, rng.Split(2), *nq)
 	existing := cat.ExistingTree()
 
 	fmt.Printf("catalog: %d products; query log: %d raw queries over 90 days\n", cat.Len(), len(log90))
 
 	const delta = 0.8
-	opts := preprocess.DefaultOptions(sim.ThresholdJaccard, delta)
+	opts := preprocess.Options{Variant: sim.ThresholdJaccard, Delta: delta}
 	inst, stats := preprocess.Run(cat, existing, log90, opts)
 	fmt.Printf("preprocessing: %+v\n\n", stats)
 

@@ -26,30 +26,22 @@ import (
 	"categorytree/internal/xrand"
 )
 
-// Options tunes the item-clustering baselines.
-type Options struct {
-	// SampleLimit caps the number of items clustered with the O(n²)
+// The item-clustering baselines' fixed configuration.
+const (
+	// sampleLimit caps the number of items clustered with the O(n²)
 	// matrix; larger repositories are sampled and the rest nearest-leaf
 	// assigned.
-	SampleLimit int
-	// TargetLeaves approximates the number of leaf categories; 0 derives
-	// it from the instance (one per input set, a fair comparison).
-	TargetLeaves int
-	// MaxDepth bounds the tree depth.
-	MaxDepth int
-	// Seed drives sampling.
-	Seed int64
-}
-
-// DefaultOptions returns the experiment configuration.
-func DefaultOptions() Options {
-	return Options{SampleLimit: 1200, MaxDepth: 25, Seed: 1}
-}
+	sampleLimit = 1200
+	// maxDepth bounds the tree depth.
+	maxDepth = 25
+	// sampleSeed drives sampling.
+	sampleSeed = 1
+)
 
 // BuildICQ constructs the IC-Q tree: items are vectors over the input sets
 // ("the i-th entry is 1 if the item appears in the i-th input set"),
 // clustered agglomeratively under Euclidean distance.
-func BuildICQ(inst *oct.Instance, opts Options) (*tree.Tree, error) {
+func BuildICQ(inst *oct.Instance) (*tree.Tree, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
@@ -62,7 +54,7 @@ func BuildICQ(inst *oct.Instance, opts Options) (*tree.Tree, error) {
 		}
 	}
 	pts := &membershipPoints{member: member}
-	return buildFromItemPoints(inst, pts, opts)
+	return buildFromItemPoints(inst, pts)
 }
 
 type membershipPoints struct {
@@ -92,43 +84,36 @@ func (p *membershipPoints) Dist(i, j int) float64 {
 
 // BuildICS constructs the IC-S tree from per-item semantic embeddings
 // (title vectors in the experiments; any dense feature works).
-func BuildICS(inst *oct.Instance, itemVecs [][]float64, opts Options) (*tree.Tree, error) {
+func BuildICS(inst *oct.Instance, itemVecs [][]float64) (*tree.Tree, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	if len(itemVecs) != inst.Universe {
 		return nil, fmt.Errorf("baseline: %d item vectors for universe %d", len(itemVecs), inst.Universe)
 	}
-	return buildFromItemPoints(inst, &cluster.DensePoints{Rows: itemVecs}, opts)
+	return buildFromItemPoints(inst, &cluster.DensePoints{Rows: itemVecs})
 }
 
 // buildFromItemPoints runs the shared IC pipeline over a full item-distance
 // space.
-func buildFromItemPoints(inst *oct.Instance, p cluster.Points, opts Options) (*tree.Tree, error) {
-	if opts.SampleLimit <= 0 {
-		opts.SampleLimit = DefaultOptions().SampleLimit
-	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = DefaultOptions().MaxDepth
-	}
-	if opts.TargetLeaves <= 0 {
-		opts.TargetLeaves = inst.N()
-		if opts.TargetLeaves < 2 {
-			opts.TargetLeaves = 2
-		}
+func buildFromItemPoints(inst *oct.Instance, p cluster.Points) (*tree.Tree, error) {
+	// The leaf budget is one leaf category per input set, a fair comparison.
+	targetLeaves := inst.N()
+	if targetLeaves < 2 {
+		targetLeaves = 2
 	}
 	n := p.Len()
 	if n == 0 {
 		return nil, fmt.Errorf("baseline: empty universe")
 	}
 
-	rng := xrand.New(opts.Seed)
+	rng := xrand.New(sampleSeed)
 	sample := make([]int, n)
 	for i := range sample {
 		sample[i] = i
 	}
-	if n > opts.SampleLimit {
-		sample = rng.SampleK(n, opts.SampleLimit)
+	if n > sampleLimit {
+		sample = rng.SampleK(n, sampleLimit)
 	}
 
 	sub := &subsetPoints{p: p, idx: sample}
@@ -139,7 +124,7 @@ func buildFromItemPoints(inst *oct.Instance, p cluster.Points, opts Options) (*t
 
 	// Truncate the dendrogram into categories: split while clusters stay
 	// above the size that would overshoot the leaf budget.
-	minSize := (len(sample) + opts.TargetLeaves - 1) / opts.TargetLeaves
+	minSize := (len(sample) + targetLeaves - 1) / targetLeaves
 	if minSize < 2 {
 		minSize = 2
 	}
@@ -149,7 +134,7 @@ func buildFromItemPoints(inst *oct.Instance, p cluster.Points, opts Options) (*t
 	var build func(id int, parent *tree.Node, depth int)
 	build = func(id int, parent *tree.Node, depth int) {
 		members := dend.Members(id)
-		if dend.IsLeaf(id) || len(members) <= minSize || depth >= opts.MaxDepth {
+		if dend.IsLeaf(id) || len(members) <= minSize || depth >= maxDepth {
 			items := make([]intset.Item, len(members))
 			for k, m := range members {
 				items[k] = intset.Item(sample[m])

@@ -23,7 +23,7 @@ func twoGroupInstance() *oct.Instance {
 
 func TestICQSeparatesCooccurrenceGroups(t *testing.T) {
 	inst := twoGroupInstance()
-	tr, err := BuildICQ(inst, DefaultOptions())
+	tr, err := BuildICQ(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestICSClustersByTitleSimilarity(t *testing.T) {
 	}
 	// 256 hash buckets keep the two token vocabularies from colliding.
 	vecs := TitleEmbeddings(titles, 256)
-	tr, err := BuildICS(inst, vecs, DefaultOptions())
+	tr, err := BuildICS(inst, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,19 +70,18 @@ func TestICSClustersByTitleSimilarity(t *testing.T) {
 func TestSamplingPathAssignsEveryItem(t *testing.T) {
 	// Universe larger than the sample limit exercises nearest-leaf
 	// assignment.
-	inst := &oct.Instance{Universe: 60}
+	const n = sampleLimit + 100
+	inst := &oct.Instance{Universe: n}
 	inst.Sets = append(inst.Sets,
-		oct.InputSet{Items: intset.Range(0, 30), Weight: 1},
-		oct.InputSet{Items: intset.Range(30, 60), Weight: 1},
+		oct.InputSet{Items: intset.Range(0, n/2), Weight: 1},
+		oct.InputSet{Items: intset.Range(n/2, n), Weight: 1},
 	)
-	opts := DefaultOptions()
-	opts.SampleLimit = 20
-	tr, err := BuildICQ(inst, opts)
+	tr, err := BuildICQ(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Root().Items.Len() != 60 {
-		t.Fatalf("root holds %d items, want 60", tr.Root().Items.Len())
+	if tr.Root().Items.Len() != n {
+		t.Fatalf("root holds %d items, want %d", tr.Root().Items.Len(), n)
 	}
 	if err := tr.Validate(oct.Config{}); err != nil {
 		t.Fatal(err)
@@ -91,7 +90,7 @@ func TestSamplingPathAssignsEveryItem(t *testing.T) {
 
 func TestBuildICSValidatesVectorCount(t *testing.T) {
 	inst := twoGroupInstance()
-	if _, err := BuildICS(inst, make([][]float64, 3), DefaultOptions()); err == nil {
+	if _, err := BuildICS(inst, make([][]float64, 3)); err == nil {
 		t.Fatal("mismatched vector count should error")
 	}
 }
@@ -139,7 +138,7 @@ func TestTokenize(t *testing.T) {
 
 func TestEmptyUniverseErrors(t *testing.T) {
 	inst := &oct.Instance{Universe: 0}
-	if _, err := BuildICQ(inst, DefaultOptions()); err == nil {
+	if _, err := BuildICQ(inst); err == nil {
 		t.Fatal("empty universe should error")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"categorytree/internal/assign"
 	"categorytree/internal/cluster"
@@ -36,24 +35,11 @@ type Result struct {
 	CatOf map[oct.SetID]*tree.Node
 	// Dendrogram is the clustering that shaped the tree.
 	Dendrogram *cluster.Dendrogram
-	// Total is the wall-clock duration of the build.
-	Total time.Duration
-	// Timings breaks the build down by stage.
-	Timings Timings
-}
-
-// Timings records per-stage wall-clock durations of one CCT build.
-type Timings struct {
-	Embed    time.Duration
-	Cluster  time.Duration
-	Assign   time.Duration
-	Condense time.Duration
-	Total    time.Duration
 }
 
 // Build runs CCT over the instance under cfg. Per-stage wall times are
-// returned in Result.Timings and recorded under the "cct.build" prefix of
-// the default obs registry.
+// recorded as timers under the "cct.build" prefix of the default obs
+// registry.
 func Build(inst *oct.Instance, cfg oct.Config) (*Result, error) {
 	//lint:ignore ctxflow no-context compatibility wrapper
 	return BuildContext(context.Background(), inst, cfg)
@@ -87,7 +73,7 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 	//lint:ignore ctxflow Embed has no context-taking callees to nest under
 	esp := span.Child("embed")
 	vecs := Embed(inst, cfg)
-	embedDur := esp.End()
+	esp.End()
 	tick(1)
 
 	// Lines 2-3: dendrogram → tree skeleton. Inputs that fit
@@ -101,7 +87,7 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 		return nil, fmt.Errorf("cct: clustering: %w", err)
 	}
 	t, catOf := skeletonFromDendrogram(inst, dend)
-	clusterDur := lsp.End()
+	lsp.End()
 	tick(2)
 
 	// Line 4: Algorithm 2 assigns all items (every category starts empty).
@@ -111,7 +97,7 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 		targets[i] = oct.SetID(i)
 	}
 	err = assign.New(inst, cfg, t, catOf, targets).RunContext(actx)
-	assignDur := asp.End()
+	asp.End()
 	if err != nil {
 		span.EndErr(err)
 		return nil, fmt.Errorf("cct: %w", err)
@@ -127,24 +113,12 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config) (*Res
 		}
 	}
 	assign.AddMiscCategory(inst, t)
-	condenseDur := dsp.End()
+	dsp.End()
 
 	span.Add("sets", int64(inst.N()))
 	span.Add("categories", int64(t.Len()))
-	total := span.End()
-	return &Result{
-		Tree:       t,
-		CatOf:      catOf,
-		Dendrogram: dend,
-		Total:      total,
-		Timings: Timings{
-			Embed:    embedDur,
-			Cluster:  clusterDur,
-			Assign:   assignDur,
-			Condense: condenseDur,
-			Total:    total,
-		},
-	}, nil
+	span.End()
+	return &Result{Tree: t, CatOf: catOf, Dendrogram: dend}, nil
 }
 
 // Embed computes the CCT embeddings of every input set (exported for the

@@ -301,17 +301,12 @@ type Options struct {
 // Intersecting pairs are enumerated via an inverted index and evaluated in
 // parallel.
 func Analyze(inst *oct.Instance, cfg oct.Config) *Result {
-	return AnalyzeWith(inst, cfg, Options{})
-}
-
-// AnalyzeWith is Analyze with explicit options.
-func AnalyzeWith(inst *oct.Instance, cfg oct.Config, aOpts Options) *Result {
 	//lint:ignore ctxflow no-context compatibility wrapper
-	res, _ := AnalyzeContext(context.Background(), inst, cfg, aOpts)
+	res, _ := AnalyzeContext(context.Background(), inst, cfg, Options{})
 	return res
 }
 
-// AnalyzeContext is AnalyzeWith with a context: metrics land in the
+// AnalyzeContext is Analyze with a context and options: metrics land in the
 // context's obs registry (per-request when the caller attached one), trace
 // spans nest under the caller's, and cancellation is honored between pair
 // enumerations — a canceled context aborts the parallel sweep and returns

@@ -10,7 +10,7 @@ import (
 )
 
 // TestNewResultRoundTrip pins the contract internal/delta depends on:
-// feeding the lists AnalyzeWith produced back through NewResult yields a
+// feeding the lists Analyze produced back through NewResult yields a
 // Result indistinguishable from the original — same exported lists, same
 // membership answers, same rank tables.
 func TestNewResultRoundTrip(t *testing.T) {
@@ -61,7 +61,7 @@ func TestNewResultRoundTrip(t *testing.T) {
 }
 
 // TestNewResultNormalizes checks that unsorted, flipped input lists come out
-// in the canonical order AnalyzeWith uses.
+// in the canonical order Analyze uses.
 func TestNewResultNormalizes(t *testing.T) {
 	ranking := []oct.SetID{2, 0, 1, 3}
 	res := NewResult(ranking,

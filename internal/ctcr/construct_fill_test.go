@@ -43,7 +43,7 @@ func TestConstructMatchesReference(t *testing.T) {
 	}
 	// Any conflict-free selection exercises construct; a small node budget
 	// keeps the Perfect-Recall and Jaccard solves of SyntheticScale short.
-	misOpts := mis.Options{NodeBudget: 2000, MaxExactComponent: 3000, LocalSearchRounds: 5}
+	misOpts := mis.Options{NodeBudget: 2000, MaxExactComponent: 3000}
 	nested := 0
 	for name, inst := range instances {
 		for _, c := range configs {

@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"categorytree/internal/assign"
 	"categorytree/internal/conflict"
@@ -82,21 +81,11 @@ type Result struct {
 	MIS mis.Result
 	// Conflicts is the full conflict analysis.
 	Conflicts *conflict.Result
-	// Timings breaks down the run.
-	Timings Timings
-}
-
-// Timings records per-stage wall-clock durations.
-type Timings struct {
-	Analyze   time.Duration
-	Solve     time.Duration
-	Construct time.Duration
-	Total     time.Duration
 }
 
 // Build runs CTCR over the instance under cfg. Per-stage wall times are
-// returned in Result.Timings and recorded, along with workload counters,
-// under the "ctcr.build" prefix of the default obs registry.
+// recorded as timers, along with workload counters, under the "ctcr.build"
+// prefix of the default obs registry.
 func Build(inst *oct.Instance, cfg oct.Config, opts Options) (*Result, error) {
 	//lint:ignore ctxflow no-context compatibility wrapper
 	return BuildContext(context.Background(), inst, cfg, opts)
@@ -132,7 +121,7 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts 
 	// (hyper)graph.
 	asp, actx := span.ChildContext(ctx, "analyze")
 	analysis, err := conflict.AnalyzeContext(actx, inst, cfg, conflict.Options{No3Conflicts: opts.Disable3Conflicts})
-	analyzeDur := asp.End()
+	asp.End()
 	if err != nil {
 		span.EndErr(err)
 		return nil, fmt.Errorf("ctcr: %w", err)
@@ -148,7 +137,7 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts 
 	} else {
 		misRes, err = mis.SolveContext(sctx, g, opts.MIS)
 	}
-	solveDur := ssp.End()
+	ssp.End()
 	if err != nil {
 		span.EndErr(err)
 		return nil, fmt.Errorf("ctcr: %w", err)
@@ -164,16 +153,11 @@ func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts 
 		return nil, err
 	}
 	res.MIS = misRes
-	constructDur := csp.End()
+	csp.End()
 	span.Add("sets", int64(inst.N()))
 	span.Add("selected", int64(len(res.Selected)))
 	span.Add("categories", int64(res.Tree.Len()))
-	res.Timings = Timings{
-		Analyze:   analyzeDur,
-		Solve:     solveDur,
-		Construct: constructDur,
-		Total:     span.End(),
-	}
+	span.End()
 	return res, nil
 }
 

@@ -119,14 +119,13 @@ func GenerateRaw(spec Spec) (*Raw, error) {
 	default:
 		return nil, fmt.Errorf("dataset: unknown domain %q", spec.Domain)
 	}
-	log := queries.Generate(cat, rng.Split(2), queries.DefaultGenOptions(spec.RawQueries))
+	log := queries.Generate(cat, rng.Split(2), spec.RawQueries)
 	return &Raw{Spec: spec, Catalog: cat, Existing: cat.ExistingTree(), Log: log}, nil
 }
 
 // Instance preprocesses the raw dataset for a variant and threshold.
 func (r *Raw) Instance(v sim.Variant, delta float64) (*oct.Instance, preprocess.Stats) {
-	opts := preprocess.DefaultOptions(v, delta)
-	opts.UniformWeights = r.Spec.Uniform
+	opts := preprocess.Options{Variant: v, Delta: delta, UniformWeights: r.Spec.Uniform}
 	return preprocess.Run(r.Catalog, r.Existing, r.Log, opts)
 }
 

@@ -28,6 +28,7 @@ import (
 	"categorytree/internal/facet"
 	"categorytree/internal/intset"
 	"categorytree/internal/metrics"
+	"categorytree/internal/obs"
 	"categorytree/internal/oct"
 	"categorytree/internal/preprocess"
 	"categorytree/internal/sim"
@@ -127,10 +128,10 @@ func buildAlgo(ctx context.Context, name string, raw *dataset.Raw, inst *oct.Ins
 		}
 		return res.Tree, nil
 	case "IC-Q":
-		return baseline.BuildICQ(inst, baseline.DefaultOptions())
+		return baseline.BuildICQ(inst)
 	case "IC-S":
 		vecs := baseline.TitleEmbeddings(raw.Catalog.Titles(), 128)
-		return baseline.BuildICS(inst, vecs, baseline.DefaultOptions())
+		return baseline.BuildICS(inst, vecs)
 	case "ET":
 		return raw.Existing, nil
 	default:
@@ -339,20 +340,21 @@ func Fig8f(ctx context.Context, opts Options) (*Result, error) {
 		}
 		inst, _ := raw.Instance(sim.ThresholdJaccard, 0.8)
 		cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.8}
-		start := time.Now()
-		cres, err := ctcr.BuildContext(ctx, inst, cfg, ctcr.DefaultOptions())
+		stages, err := stageTimes(ctx, func() error {
+			_, err := ctcr.BuildContext(ctx, inst, cfg, ctcr.DefaultOptions())
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		total := time.Since(start)
 		res.Rows = append(res.Rows, []string{
 			spec.Name,
 			fmt.Sprint(inst.N()),
 			fmt.Sprint(raw.Catalog.Len()),
-			cres.Timings.Analyze.Round(time.Millisecond).String(),
-			cres.Timings.Solve.Round(time.Millisecond).String(),
-			cres.Timings.Construct.Round(time.Millisecond).String(),
-			total.Round(time.Millisecond).String(),
+			stages("ctcr.build/analyze"),
+			stages("ctcr.build/solve"),
+			stages("ctcr.build/construct"),
+			stages("ctcr.build"),
 		})
 	}
 	res.Notes = append(res.Notes, "paper: 5 s on A up to ~37 min on D at full scale; relative growth is the reproducible shape")
@@ -372,9 +374,7 @@ func TrainTest(ctx context.Context, opts Options) (*Result, error) {
 	// on both sides of a random split, which is what makes a tree built on
 	// half the log score on the other half at all. Merging first would
 	// collapse those twins into single sets and sever the halves.
-	popts := preprocess.DefaultOptions(sim.ThresholdJaccard, delta)
-	popts.UniformWeights = raw.Spec.Uniform
-	popts.SkipMerge = true
+	popts := preprocess.Options{Variant: sim.ThresholdJaccard, Delta: delta, UniformWeights: raw.Spec.Uniform, SkipMerge: true}
 	inst, _ := preprocess.Run(raw.Catalog, raw.Existing, raw.Log, popts)
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: delta}
 	rng := xrand.New(opts.Seed)
@@ -509,8 +509,7 @@ func MergeAblation(ctx context.Context, opts Options) (*Result, error) {
 	const delta = 0.8
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: delta}
 
-	pOpts := preprocess.DefaultOptions(sim.ThresholdJaccard, delta)
-	pOpts.UniformWeights = raw.Spec.Uniform
+	pOpts := preprocess.Options{Variant: sim.ThresholdJaccard, Delta: delta, UniformWeights: raw.Spec.Uniform}
 	merged, _ := preprocess.Run(raw.Catalog, raw.Existing, raw.Log, pOpts)
 	pOpts.SkipMerge = true
 	unmerged, _ := preprocess.Run(raw.Catalog, raw.Existing, raw.Log, pOpts)
@@ -671,7 +670,11 @@ func Scale(ctx context.Context, opts Options) (*Result, error) {
 	}
 	inst := SyntheticScale(opts.Seed, n)
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.6}
-	cres, err := cct.BuildContext(ctx, inst, cfg)
+	var cres *cct.Result
+	stages, err := stageTimes(ctx, func() (err error) {
+		cres, err = cct.BuildContext(ctx, inst, cfg)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("scale: %w", err)
 	}
@@ -687,8 +690,8 @@ func Scale(ctx context.Context, opts Options) (*Result, error) {
 			clustering,
 			fmt.Sprint(inst.N()),
 			fmt.Sprint(cres.Tree.Len()),
-			cres.Timings.Cluster.Round(time.Millisecond).String(),
-			cres.Timings.Total.Round(time.Millisecond).String(),
+			stages("cct.build/cluster"),
+			stages("cct.build"),
 			fmt.Sprintf("%.3f", scoreOf(cres.Tree, inst, cfg)),
 		}},
 		Notes: []string{"paper-scale runs (dataset E) need Scale 1: 50k sets"},
@@ -805,6 +808,21 @@ func churnBatch(rng *xrand.RNG, eng *delta.Engine, batch, universe int) []delta.
 		}
 	}
 	return muts
+}
+
+// stageTimes runs build and returns a lookup of the wall time, to the
+// millisecond, that each stage span of the build recorded as a timer in
+// ctx's registry (e.g. "ctcr.build/analyze").
+func stageTimes(ctx context.Context, build func() error) (func(timer string) string, error) {
+	reg := obs.FromContext(ctx)
+	before := reg.Snapshot()
+	if err := build(); err != nil {
+		return nil, err
+	}
+	timers := reg.Snapshot().Delta(before).Timers
+	return func(timer string) string {
+		return timers[timer].Total().Round(time.Millisecond).String()
+	}, nil
 }
 
 // Registry maps experiment IDs to drivers. Drivers take a context so

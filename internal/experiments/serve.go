@@ -109,10 +109,11 @@ func (s servePhaseStats) wallPerRequest() time.Duration {
 // pair: workers goroutines each keep one /categorize request in flight while
 // snapshots publish on a ticker. When rec is non-nil every request also runs
 // through the flight recorder exactly as octserve's instrument wrapper does
-// (StartAt, wide-event annotation by the handler, traced histogram observe,
-// FinishLatency) — the recorder-on vs recorder-off delta is the recorder's
-// cost.
-func servePhase(ctx context.Context, opts Options, workers, perWorker int, rec *flight.Recorder, reg *obs.Registry, hist *obs.Histogram) (servePhaseStats, error) {
+// (StartAt, wide-event annotation by the handler, FinishLatency, which makes
+// the traced observe into reg's http.categorize/latency); with rec nil the
+// load loop observes that histogram itself. The recorder-on vs recorder-off
+// delta is the recorder's cost.
+func servePhase(ctx context.Context, opts Options, workers, perWorker int, rec *flight.Recorder, reg *obs.Registry) (servePhaseStats, error) {
 	const distinctQueries = 4096
 	pub := serve.NewPublisher(reg, 0)
 	universe := 20000
@@ -140,6 +141,7 @@ func servePhase(ctx context.Context, opts Options, workers, perWorker int, rec *
 	// Resolve the per-endpoint handle once, as octserve's instrument wrapper
 	// does at route-wiring time.
 	ep := rec.Endpoint("categorize")
+	hist := reg.Histogram("http.categorize/latency")
 
 	// Pre-build the churn snapshots: publishing must cost a pointer swap plus
 	// snapshot assembly, not a 20k-item tree construction racing the workers
@@ -197,9 +199,7 @@ func servePhase(ctx context.Context, opts Options, workers, perWorker int, rec *
 				if ep != nil {
 					fq, fctx := ep.StartAt(req.Context(), id, false, t0)
 					rd.Categorize(nw, req.WithContext(fctx))
-					d := time.Since(t0)
-					hist.ObserveTrace(d, id)
-					fq.FinishLatency(200, d)
+					fq.FinishLatency(200, time.Since(t0))
 				} else {
 					// octserve stamps a trace id and re-scopes the request
 					// context on every request regardless of the recorder
@@ -273,15 +273,11 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 
 	runPhase := func(workers, perWorker int, withFlight bool) (servePhaseStats, error) {
 		reg := obs.NewRegistry()
-		// Named as octserve names the endpoint's histogram, so the
-		// recorder's adaptive slow threshold reads the one the driver fills
-		// and genuinely slow requests retain mid-run just like in production.
-		hist := reg.Histogram("http.categorize/latency")
 		var rec *flight.Recorder
 		if withFlight {
 			rec = flight.New(flight.Options{Registry: reg})
 		}
-		return servePhase(ctx, opts, workers, perWorker, rec, reg, hist)
+		return servePhase(ctx, opts, workers, perWorker, rec, reg)
 	}
 
 	// Stress pass at full concurrency, both modes: the headline throughput,

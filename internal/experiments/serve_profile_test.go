@@ -15,9 +15,8 @@ import (
 func BenchmarkServePhaseFlight(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		reg := obs.NewRegistry()
-		hist := reg.Histogram("http.categorize/latency")
 		rec := flight.New(flight.Options{Registry: reg})
-		if _, err := servePhase(context.Background(), Options{Seed: 1, Scale: 1}, 100, 1000, rec, reg, hist); err != nil {
+		if _, err := servePhase(context.Background(), Options{Seed: 1, Scale: 1}, 100, 1000, rec, reg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -25,9 +24,7 @@ func BenchmarkServePhaseFlight(b *testing.B) {
 
 func BenchmarkServePhaseBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reg := obs.NewRegistry()
-		hist := reg.Histogram("http.categorize/latency")
-		if _, err := servePhase(context.Background(), Options{Seed: 1, Scale: 1}, 100, 1000, nil, reg, hist); err != nil {
+		if _, err := servePhase(context.Background(), Options{Seed: 1, Scale: 1}, 100, 1000, nil, obs.NewRegistry()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -406,7 +406,7 @@ func TestSolveBudgetExhaustionFallsBack(t *testing.T) {
 	// unless kernelization alone cracked it.
 	rng := xrand.New(43)
 	g := randomHypergraph(rng, 60, 0.4, 0, true)
-	res := Solve(g, Options{NodeBudget: 2, MaxExactComponent: 100, LocalSearchRounds: 3})
+	res := Solve(g, Options{NodeBudget: 2, MaxExactComponent: 100})
 	if !g.IsIndependent(res.Set) {
 		t.Fatal("fallback result not independent")
 	}

@@ -117,8 +117,8 @@ func TestSolveParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	optSets := []Options{
 		DefaultOptions(),
-		{NodeBudget: 60, MaxExactComponent: 3000, LocalSearchRounds: 5},
-		{NodeBudget: 100_000, MaxExactComponent: 25, LocalSearchRounds: 5},
+		{NodeBudget: 60, MaxExactComponent: 3000},
+		{NodeBudget: 100_000, MaxExactComponent: 25},
 	}
 	trials := 3
 	if testing.Short() {

@@ -108,7 +108,7 @@ func SolvePartitionContext(ctx context.Context, g *Hypergraph, parts int, opts O
 			sol, _, nodes = solveExactN(sub, opts.NodeBudget, warm, done)
 			totalNodes += nodes
 		} else {
-			sol = localSearch(sub, solveGreedy(sub), opts.LocalSearchRounds)
+			sol = localSearch(sub, solveGreedy(sub), localSearchRounds)
 		}
 		mapped := make([]int, len(sol))
 		for i, v := range sol {
@@ -128,7 +128,7 @@ func SolvePartitionContext(ctx context.Context, g *Hypergraph, parts int, opts O
 	}
 
 	// Extend to global maximality and polish.
-	best = localSearch(g, best, opts.LocalSearchRounds)
+	best = localSearch(g, best, localSearchRounds)
 	sort.Ints(best)
 	// The partition solver has no per-component story to tell, but the
 	// ledger still needs the final selection for replay: one keep record

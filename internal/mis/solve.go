@@ -19,9 +19,11 @@ type Options struct {
 	// negative value disables exact solving entirely (pure greedy + local
 	// search, for ablations).
 	MaxExactComponent int
-	// LocalSearchRounds bounds improvement sweeps on heuristic components.
-	LocalSearchRounds int
 }
+
+// localSearchRounds bounds the improvement sweeps of greedy + local search
+// on heuristic components and on the partition solver's result.
+const localSearchRounds = 20
 
 // DefaultOptions mirror the regime the paper reports: conflict graphs are
 // sparse, components are small, and the exact solver finishes ("CTCR, using
@@ -38,7 +40,6 @@ func DefaultOptions() Options {
 	return Options{
 		NodeBudget:        100_000,
 		MaxExactComponent: 3_000,
-		LocalSearchRounds: 20,
 	}
 }
 
@@ -84,9 +85,6 @@ func SolveContext(ctx context.Context, g *Hypergraph, opts Options) (Result, err
 	heuristicOnly := opts.MaxExactComponent < 0
 	if opts.MaxExactComponent == 0 {
 		opts.MaxExactComponent = DefaultOptions().MaxExactComponent
-	}
-	if opts.LocalSearchRounds <= 0 {
-		opts.LocalSearchRounds = DefaultOptions().LocalSearchRounds
 	}
 
 	res := Result{Optimal: true}
@@ -193,14 +191,14 @@ func solveComponent(sub *Hypergraph, comp []int, pos []int32, opts Options, heur
 		c.cg = cg
 	}
 	if !heuristicOnly && cg.N() <= opts.MaxExactComponent {
-		warm := localSearch(cg, solveGreedy(cg), opts.LocalSearchRounds)
+		warm := localSearch(cg, solveGreedy(cg), localSearchRounds)
 		exact, optimal, nodes := solveExactN(cg, opts.NodeBudget, warm, done)
 		c.sol, c.nodes = exact, nodes
 		if optimal {
 			c.via = ledger.ViaExact
 		}
 	} else {
-		c.sol = localSearch(cg, solveGreedy(cg), opts.LocalSearchRounds)
+		c.sol = localSearch(cg, solveGreedy(cg), localSearchRounds)
 	}
 	return c
 }

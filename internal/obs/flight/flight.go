@@ -16,8 +16,9 @@
 // copy per request (the ring) and a lock-free threshold read; the
 // per-request state (wide event + trace recorder) is pooled and rides the
 // context in a single value, so a healthy request allocates only its
-// context wrapper and its spans. The adaptive slow threshold is recomputed
-// from the endpoint's live latency histogram only once every
+// context wrapper and its spans. The recorder fills each endpoint's latency
+// histogram itself, one traced observe per request that did not answer 4xx,
+// and recomputes the adaptive slow threshold from it only once every
 // thresholdRefresh finishes.
 package flight
 
@@ -293,8 +294,13 @@ func (s *store) len() int {
 	return len(s.order)
 }
 
-// The tail-sampling policy and the objectives /debug/slo reports against.
+// The recorder's sizes, the tail-sampling policy and the objectives
+// /debug/slo reports against.
 const (
+	// ringSize bounds the wide-event ring.
+	ringSize = 4096
+	// retainTraces bounds the retained-trace store.
+	retainTraces = 256
 	// thresholdRefresh is how many finishes an endpoint's cached slow
 	// threshold serves before it is recomputed from the live histogram.
 	thresholdRefresh = 128
@@ -320,26 +326,23 @@ type endpointThreshold struct {
 	countdown atomic.Int64
 }
 
-// Options configures a Recorder. The zero value is usable: a 4096-event
-// ring and 256 retained traces.
+// Options configures a Recorder. The zero value is usable.
 type Options struct {
-	// RingSize bounds the wide-event ring (0 = 4096).
-	RingSize int
-	// RetainTraces bounds the retained-trace store (0 = 256).
-	RetainTraces int
-	// Registry is where the per-endpoint latency histograms live; the
-	// adaptive slow threshold for endpoint E reads the p99 of
-	// "http.<E>/latency" once it holds 256 observations. Nil disables
-	// slow-based retention (errors and forced samples still retain).
+	// Registry is where the per-endpoint latency histograms live.
+	// FinishLatency observes each request that did not answer 4xx into
+	// "http.<E>/latency", and the adaptive slow threshold for endpoint E
+	// reads that histogram's p99 once it holds 256 observations. Nil
+	// disables both (errors and forced samples still retain).
 	Registry *obs.Registry
 }
 
 // Recorder is the flight recorder. All methods are safe for arbitrary
-// concurrency; a nil *Recorder is inert (its Endpoint handles are nil, and
-// their StartAt returns a nil *Request whose methods are all no-ops), so
-// callers wire it unconditionally.
+// concurrency. On the request path a nil *Recorder is inert (its Endpoint
+// handles are nil, and their StartAt returns a nil *Request whose methods
+// are all no-ops), so a load generator runs one code path with the
+// recorder on or off; the zpage handlers need a live recorder.
 type Recorder struct {
-	opt        Options
+	reg        *obs.Registry
 	ring       *ring
 	store      *store
 	thresholds sync.Map // endpoint string -> *endpointThreshold
@@ -355,16 +358,10 @@ type Recorder struct {
 // New builds a recorder. Metrics about the recorder itself
 // (flight/recorded, flight/retained) land in opt.Registry when set.
 func New(opt Options) *Recorder {
-	if opt.RingSize <= 0 {
-		opt.RingSize = 4096
-	}
-	if opt.RetainTraces <= 0 {
-		opt.RetainTraces = 256
-	}
 	rec := &Recorder{
-		opt:   opt,
-		ring:  newRing(opt.RingSize),
-		store: newStore(opt.RetainTraces),
+		reg:   opt.Registry,
+		ring:  newRing(ringSize),
+		store: newStore(retainTraces),
 	}
 	if opt.Registry != nil {
 		rec.recorded = opt.Registry.Counter("flight/recorded")
@@ -376,14 +373,6 @@ func New(opt Options) *Recorder {
 		return q
 	}
 	return rec
-}
-
-// RingSize returns the configured ring capacity.
-func (rec *Recorder) RingSize() int {
-	if rec == nil {
-		return 0
-	}
-	return rec.opt.RingSize
 }
 
 // Retained returns how many traces the store currently holds.
@@ -456,8 +445,8 @@ func (rec *Recorder) Endpoint(name string) *Endpoint {
 	}
 	v, _ := rec.thresholds.LoadOrStore(name, &endpointThreshold{})
 	ep := &Endpoint{rec: rec, name: name, thr: v.(*endpointThreshold)}
-	if rec.opt.Registry != nil {
-		ep.hist = rec.opt.Registry.Histogram("http." + name + "/latency")
+	if rec.reg != nil {
+		ep.hist = rec.reg.Histogram("http." + name + "/latency")
 	}
 	return ep
 }
@@ -545,7 +534,10 @@ func (q *Request) SetCandidates(n int) {
 	q.ev.Candidates = n
 }
 
-// FinishLatency seals the request with its caller-measured wall time d: the
+// FinishLatency seals the request with its caller-measured wall time d. The
+// endpoint's latency histogram observes d, with the trace id as exemplar,
+// unless the status is a 4xx: a rejected request did not do the endpoint's
+// work, so its latency must not pull the slow threshold down. Then the
 // tail-sampling decision runs (forced, error status ≥ 500, or latency above
 // the endpoint's adaptive threshold retain the span tree), and the wide
 // event enters the ring. The Request goes back to the recorder's pool — it
@@ -553,6 +545,9 @@ func (q *Request) SetCandidates(n int) {
 func (q *Request) FinishLatency(status int, d time.Duration) {
 	if q == nil || q.done {
 		return
+	}
+	if q.ep.hist != nil && (status < 400 || status >= 500) {
+		q.ep.hist.ObserveTrace(d, q.ev.TraceID)
 	}
 	q.seal(status, d)
 	q.rec.reqs.Put(q)

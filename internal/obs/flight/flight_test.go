@@ -46,25 +46,34 @@ func finish(t *testing.T, rec *Recorder, ep *Endpoint, traceID string, force boo
 	return ev
 }
 
+// serveN runs n requests through ep with ids prefix-0 … prefix-(n-1), each
+// taking d and ending with status.
+func serveN(ep *Endpoint, prefix string, n int, force bool, status int, d time.Duration) {
+	for i := 0; i < n; i++ {
+		q, _ := ep.StartAt(context.Background(), fmt.Sprintf("%s-%d", prefix, i), force, time.Now())
+		q.FinishLatency(status, d)
+	}
+}
+
 func TestRingRecordsNewestFirst(t *testing.T) {
-	rec := New(Options{RingSize: 4})
-	ep := rec.Endpoint("categorize")
-	for i := 0; i < 6; i++ {
-		finish(t, rec, ep, fmt.Sprintf("id-%d", i), false, 200, time.Microsecond)
-	}
+	rec := New(Options{})
+	serveN(rec.Endpoint("categorize"), "id", ringSize+2, false, 200, time.Microsecond)
 	evs := rec.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
+	if len(evs) != ringSize {
+		t.Fatalf("ring holds %d events, want %d", len(evs), ringSize)
 	}
-	for i, want := range []string{"id-5", "id-4", "id-3", "id-2"} {
+	for i, want := range []string{fmt.Sprintf("id-%d", ringSize+1), fmt.Sprintf("id-%d", ringSize)} {
 		if evs[i].TraceID != want {
 			t.Errorf("evs[%d] = %s, want %s", i, evs[i].TraceID, want)
 		}
 	}
+	if oldest := evs[ringSize-1].TraceID; oldest != "id-2" {
+		t.Errorf("oldest event = %s, want id-2 (id-0 and id-1 overwritten)", oldest)
+	}
 }
 
 func TestForcedAndErrorRetention(t *testing.T) {
-	rec := New(Options{RingSize: 8, RetainTraces: 8})
+	rec := New(Options{})
 	ep := rec.Endpoint("categorize")
 
 	q, ctx := ep.StartAt(context.Background(), "forced-1", true, time.Now())
@@ -99,28 +108,43 @@ func TestForcedAndErrorRetention(t *testing.T) {
 	}
 }
 
-func TestAdaptiveSlowThreshold(t *testing.T) {
+// TestFinishLatencyObservesEndpointHistogram: FinishLatency fills the
+// endpoint's latency histogram, with the trace id as the bucket's exemplar,
+// for every status but 4xx.
+func TestFinishLatencyObservesEndpointHistogram(t *testing.T) {
 	reg := obs.NewRegistry()
-	hist := reg.Histogram("http.categorize/latency")
-	rec := New(Options{Registry: reg})
+	ep := New(Options{Registry: reg}).Endpoint("categorize")
+	for _, tc := range []struct {
+		id     string
+		status int
+	}{{"ok", 200}, {"rejected", 400}, {"missing", 404}, {"failed", 503}} {
+		q, _ := ep.StartAt(context.Background(), tc.id, false, time.Now())
+		q.FinishLatency(tc.status, 60*time.Microsecond)
+	}
+	st := reg.Snapshot().Histograms["http.categorize/latency"]
+	if st.Count != 2 {
+		t.Fatalf("histogram holds %d observations, want 2 (the 200 and the 503)", st.Count)
+	}
+	if len(st.Buckets) != 1 || st.Buckets[0].Exemplar == nil || st.Buckets[0].Exemplar.TraceID != "ok" {
+		t.Fatalf("buckets = %+v, want one bucket whose exemplar is trace ok", st.Buckets)
+	}
+}
+
+func TestAdaptiveSlowThreshold(t *testing.T) {
+	rec := New(Options{Registry: obs.NewRegistry()})
 	ep := rec.Endpoint("categorize")
 
 	// Below minSamples observations the threshold stays off: a request far
 	// over any quantile of the histogram does not retain as slow.
-	for i := 0; i < minSamples-1; i++ {
-		hist.Observe(60 * time.Microsecond)
-	}
+	serveN(ep, "fill", minSamples-1, false, 200, 60*time.Microsecond)
 	if ev := finish(t, rec, ep, "early", false, 200, 2*time.Millisecond); ev.Retained {
 		t.Fatalf("retained before the threshold exists: %+v", ev)
 	}
 
-	// The minSamples-th observation arms it; p99 of this tight distribution
-	// lands at the 100µs bucket bound. The cached cutoff refreshes within
-	// thresholdRefresh finishes.
-	hist.Observe(60 * time.Microsecond)
-	for i := 0; i < thresholdRefresh; i++ {
-		finish(t, rec, ep, fmt.Sprintf("warm-%d", i), false, 200, time.Microsecond)
-	}
+	// The minSamples-th observation (early's) arms it; p99 of this tight
+	// distribution lands at the 100µs bucket bound. The cached cutoff
+	// refreshes within thresholdRefresh finishes.
+	serveN(ep, "warm", thresholdRefresh, false, 200, time.Microsecond)
 	if thr := rec.SlowThreshold("categorize"); thr != 100*time.Microsecond {
 		t.Fatalf("threshold = %v, want 100µs", thr)
 	}
@@ -135,19 +159,16 @@ func TestAdaptiveSlowThreshold(t *testing.T) {
 }
 
 func TestStoreEvictsOldestRetention(t *testing.T) {
-	rec := New(Options{RetainTraces: 3})
-	ep := rec.Endpoint("nav")
-	for i := 0; i < 5; i++ {
-		finish(t, rec, ep, fmt.Sprintf("t-%d", i), true, 200, time.Microsecond)
-	}
-	if rec.Retained() != 3 {
-		t.Fatalf("retained = %d, want 3", rec.Retained())
+	rec := New(Options{})
+	serveN(rec.Endpoint("nav"), "t", retainTraces+2, true, 200, time.Microsecond)
+	if rec.Retained() != retainTraces {
+		t.Fatalf("retained = %d, want %d", rec.Retained(), retainTraces)
 	}
 	if rec.Trace("t-0") != nil || rec.Trace("t-1") != nil {
 		t.Fatal("oldest retentions not evicted")
 	}
-	if rec.Trace("t-4") == nil {
-		t.Fatal("newest retention missing")
+	if rec.Trace(fmt.Sprintf("t-%d", retainTraces+1)) == nil || rec.Trace("t-2") == nil {
+		t.Fatal("newest retentions missing")
 	}
 }
 
@@ -155,10 +176,12 @@ func TestStoreEvictsOldestRetention(t *testing.T) {
 // the retained store: writers finish requests (rotating the ring many laps)
 // while readers snapshot the ring, list and fetch traces, and serve zpages —
 // the categorize-during-publish pattern from internal/serve applied to the
-// recorder. Run with -race.
+// recorder. A 64-slot ring and a 16-trace store stand in for the full-size
+// ones, so the writers rotate both many times over. Run with -race.
 func TestConcurrentRecordReadRotate(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := New(Options{RingSize: 64, RetainTraces: 16, Registry: reg})
+	rec := New(Options{Registry: reg})
+	rec.ring, rec.store = newRing(64), newStore(16)
 	ep := rec.Endpoint("categorize")
 
 	const writers = 8
@@ -232,7 +255,7 @@ func TestConcurrentRecordReadRotate(t *testing.T) {
 }
 
 func TestZPages(t *testing.T) {
-	rec := New(Options{RingSize: 16, RetainTraces: 4})
+	rec := New(Options{})
 	categorize := rec.Endpoint("categorize")
 	for i := 0; i < 3; i++ {
 		q, ctx := categorize.StartAt(context.Background(), fmt.Sprintf("c-%d", i), i == 0, time.Now())
@@ -247,6 +270,9 @@ func TestZPages(t *testing.T) {
 	rec.ServeRequests(w, httptest.NewRequest("GET", "/debug/requests?endpoint=categorize", nil))
 	if w.Code != 200 || !strings.Contains(w.Body.String(), `"c-2"`) || strings.Contains(w.Body.String(), `"n-0"`) {
 		t.Fatalf("endpoint filter: code %d body %s", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), fmt.Sprintf(`"ring_size": %d`, ringSize)) {
+		t.Fatalf("ring size not reported: %s", w.Body.String())
 	}
 	w = httptest.NewRecorder()
 	rec.ServeRequests(w, httptest.NewRequest("GET", "/debug/requests?status=503", nil))
@@ -270,6 +296,9 @@ func TestZPages(t *testing.T) {
 	body := w.Body.String()
 	if !strings.Contains(body, `"c-0"`) || !strings.Contains(body, `"n-0"`) || strings.Contains(body, `"c-1"`) {
 		t.Fatalf("traces list: %s", body)
+	}
+	if !strings.Contains(body, fmt.Sprintf(`"capacity": %d`, retainTraces)) {
+		t.Fatalf("store capacity not reported: %s", body)
 	}
 
 	// /debug/traces/{id} renders Chrome trace JSON with the span tree.

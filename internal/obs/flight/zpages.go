@@ -30,10 +30,6 @@ type requestsView struct {
 // first. Filters: ?endpoint=categorize, ?status=503, ?min_latency=10ms,
 // ?limit=50 (default 100).
 func (rec *Recorder) ServeRequests(w http.ResponseWriter, r *http.Request) {
-	if rec == nil {
-		http.Error(w, "flight: recorder disabled", http.StatusServiceUnavailable)
-		return
-	}
 	q := r.URL.Query()
 	limit := 100
 	if s := q.Get("limit"); s != "" {
@@ -65,7 +61,7 @@ func (rec *Recorder) ServeRequests(w http.ResponseWriter, r *http.Request) {
 	endpoint := q.Get("endpoint")
 
 	all := rec.Events()
-	view := requestsView{RingSize: rec.RingSize(), Total: len(all), Requests: []Event{}}
+	view := requestsView{RingSize: len(rec.ring.slots), Total: len(all), Requests: []Event{}}
 	for _, ev := range all {
 		if endpoint != "" && ev.Endpoint != endpoint {
 			continue
@@ -96,21 +92,13 @@ type tracesView struct {
 // wide events, newest retention first. Fetch one trace's span tree at
 // /debug/traces/{id}.
 func (rec *Recorder) ServeTraces(w http.ResponseWriter, r *http.Request) {
-	if rec == nil {
-		http.Error(w, "flight: recorder disabled", http.StatusServiceUnavailable)
-		return
-	}
 	evs := rec.store.list()
-	writeJSON(w, tracesView{Capacity: rec.opt.RetainTraces, Count: len(evs), Traces: evs})
+	writeJSON(w, tracesView{Capacity: rec.store.cap, Count: len(evs), Traces: evs})
 }
 
 // ServeTrace is GET /debug/traces/{id}: one retained trace as Chrome
 // trace-event JSON, directly loadable in chrome://tracing or Perfetto.
 func (rec *Recorder) ServeTrace(w http.ResponseWriter, r *http.Request) {
-	if rec == nil {
-		http.Error(w, "flight: recorder disabled", http.StatusServiceUnavailable)
-		return
-	}
 	id := r.PathValue("id")
 	rt := rec.Trace(id)
 	if rt == nil {
@@ -160,10 +148,6 @@ type sloView struct {
 // whatever the ring currently holds — at high QPS that is the recent past,
 // which is exactly the window burn-rate alerting cares about.
 func (rec *Recorder) ServeSLO(w http.ResponseWriter, r *http.Request) {
-	if rec == nil {
-		http.Error(w, "flight: recorder disabled", http.StatusServiceUnavailable)
-		return
-	}
 	now := time.Now()
 	byEndpoint := make(map[string][]Event)
 	for _, ev := range rec.Events() {

@@ -1,12 +1,12 @@
 // Package preprocess implements the data-preparation pipeline of Section
 // 5.1, turning a raw query log over a catalog into an OCT instance:
 //
-//  1. clean the query set — keep only queries submitted at least MinDaily
-//     times every day of the window, and drop queries whose result sets
-//     scatter over more than MaxBranches branches of the existing tree;
-//  2. compute result sets through the search engine, dropping hits below
-//     the relevance threshold (0.8 for Jaccard/F1, 0.9 for
-//     Perfect-Recall/Exact in the paper);
+//  1. clean the query set — keep only queries submitted at least twice
+//     every day of the window, and drop queries whose result sets scatter
+//     over more than 10 branches of the existing tree;
+//  2. compute result sets through the search engine — the top 400 hits,
+//     dropping hits below the relevance threshold (0.8 for Jaccard/F1, 0.9
+//     for Perfect-Recall/Exact in the paper);
 //  3. assign weights — the average daily submission count (uniform 1 for
 //     public-style datasets);
 //  4. merge near-duplicate result sets — pairs whose similarity lies in
@@ -26,24 +26,26 @@ import (
 	"categorytree/internal/xrand"
 )
 
+// The pipeline's fixed parameters.
+const (
+	// minDaily is the frequency floor X (confidential in the paper; any
+	// positive floor exercises the same filter).
+	minDaily = 2
+	// maxBranches drops queries scattering over more existing-tree
+	// branches ("more than 10 different branches"; fewer than 1% of
+	// queries).
+	maxBranches = 10
+	// maxResults caps each result set (platforms return top-k).
+	maxResults = 400
+)
+
 // Options configures the pipeline.
 type Options struct {
-	// Variant selects the downstream OCT variant; it picks the default
-	// relevance threshold and the merge similarity function.
+	// Variant selects the downstream OCT variant; it picks the relevance
+	// threshold and the merge similarity function.
 	Variant sim.Variant
 	// Delta is the downstream OCT threshold, defining the merge window.
 	Delta float64
-	// MinDaily is the frequency floor X (confidential in the paper; any
-	// positive floor exercises the same filter).
-	MinDaily float64
-	// MaxBranches drops queries scattering over more existing-tree
-	// branches ("more than 10 different branches"; fewer than 1% of
-	// queries).
-	MaxBranches int
-	// Relevance overrides the variant-derived relevance threshold when >0.
-	Relevance float64
-	// MaxResults caps each result set (platforms return top-k).
-	MaxResults int
 	// UniformWeights forces weight 1 per query (public datasets).
 	UniformWeights bool
 	// RecentDays, when >0, weights queries by their average over the last
@@ -52,22 +54,6 @@ type Options struct {
 	RecentDays int
 	// SkipMerge disables step 4 (for the merge ablation experiment).
 	SkipMerge bool
-}
-
-// DefaultOptions returns the experiment pipeline for a variant.
-func DefaultOptions(v sim.Variant, delta float64) Options {
-	rel := 0.8
-	if v.Base() == sim.BasePR {
-		rel = 0.9
-	}
-	return Options{
-		Variant:     v,
-		Delta:       delta,
-		MinDaily:    2,
-		MaxBranches: 10,
-		Relevance:   rel,
-		MaxResults:  400,
-	}
 }
 
 // Stats reports what each pipeline stage did.
@@ -85,15 +71,11 @@ type Stats struct {
 func Run(c *catalog.Catalog, existing *tree.Tree, log []queries.RawQuery, opts Options) (*oct.Instance, Stats) {
 	var st Stats
 	st.Raw = len(log)
-	if opts.MaxResults <= 0 {
-		opts.MaxResults = 400
-	}
-	rel := opts.Relevance
-	if rel <= 0 {
-		rel = 0.8
-		if opts.Variant.Base() == sim.BasePR {
-			rel = 0.9
-		}
+	// The relevance threshold: 0.8 for Jaccard/F1, 0.9 for
+	// Perfect-Recall/Exact.
+	rel := 0.8
+	if opts.Variant.Base() == sim.BasePR {
+		rel = 0.9
 	}
 
 	ix := c.SearchIndex()
@@ -130,12 +112,12 @@ func Run(c *catalog.Catalog, existing *tree.Tree, log []queries.RawQuery, opts O
 		if opts.RecentDays > 0 {
 			floor = q.MinRecent(opts.RecentDays)
 		}
-		if floor < opts.MinDaily {
+		if floor < minDaily {
 			st.DroppedRare++
 			continue
 		}
 		// Step 2: result set via the engine.
-		hits := ix.Search(q.Text, rel, opts.MaxResults)
+		hits := ix.Search(q.Text, rel, maxResults)
 		if len(hits) == 0 {
 			st.DroppedEmpty++
 			continue
@@ -146,14 +128,14 @@ func Run(c *catalog.Catalog, existing *tree.Tree, log []queries.RawQuery, opts O
 		}
 		items := b.Build()
 		// Step 1b: branch-scatter filter.
-		if branchOf != nil && opts.MaxBranches > 0 {
+		if branchOf != nil {
 			branches := make(map[int32]bool)
 			for _, it := range items.Slice() {
 				if l := branchOf[it]; l >= 0 {
 					branches[l] = true
 				}
 			}
-			if len(branches) > opts.MaxBranches {
+			if len(branches) > maxBranches {
 				st.DroppedScatter++
 				continue
 			}

@@ -1,24 +1,27 @@
 package preprocess
 
 import (
+	"fmt"
 	"testing"
 
 	"categorytree/internal/catalog"
+	"categorytree/internal/intset"
 	"categorytree/internal/queries"
 	"categorytree/internal/sim"
+	"categorytree/internal/tree"
 	"categorytree/internal/xrand"
 )
 
 func pipelineFixture(t *testing.T, nQueries int) (*catalog.Catalog, []queries.RawQuery) {
 	t.Helper()
 	c := catalog.GenerateFashion(xrand.New(11), 1200)
-	log := queries.Generate(c, xrand.New(12), queries.DefaultGenOptions(nQueries))
+	log := queries.Generate(c, xrand.New(12), nQueries)
 	return c, log
 }
 
 func TestRunProducesValidInstance(t *testing.T) {
 	c, log := pipelineFixture(t, 250)
-	inst, st := Run(c, c.ExistingTree(), log, DefaultOptions(sim.ThresholdJaccard, 0.8))
+	inst, st := Run(c, c.ExistingTree(), log, Options{Variant: sim.ThresholdJaccard, Delta: 0.8})
 	if err := inst.Validate(); err != nil {
 		t.Fatalf("invalid instance: %v", err)
 	}
@@ -35,7 +38,7 @@ func TestRunProducesValidInstance(t *testing.T) {
 
 func TestRareQueriesFiltered(t *testing.T) {
 	c, log := pipelineFixture(t, 300)
-	inst, st := Run(c, c.ExistingTree(), log, DefaultOptions(sim.ThresholdJaccard, 0.8))
+	inst, st := Run(c, c.ExistingTree(), log, Options{Variant: sim.ThresholdJaccard, Delta: 0.8})
 	if st.DroppedRare == 0 {
 		t.Fatal("no rare queries dropped; the generator plants ~8%")
 	}
@@ -50,16 +53,51 @@ func TestRareQueriesFiltered(t *testing.T) {
 	}
 }
 
+// scatterFixture is a catalog filed under maxBranches+2 top-level branches
+// of an existing tree. Every branch holds one item titled "widget" and one
+// titled "gadget<letter>"; the first maxBranches branches also hold a
+// "gizmo". So "widget" retrieves items from more branches than the filter
+// allows, "gizmo" from exactly as many as it allows, and "gadgeta" from one.
+func scatterFixture() (*catalog.Catalog, *tree.Tree) {
+	c := &catalog.Catalog{}
+	existing := tree.New(nil)
+	add := func(title string) intset.Item {
+		id := intset.Item(len(c.Products))
+		c.Products = append(c.Products, catalog.Product{ID: id, Title: title})
+		return id
+	}
+	for b := 0; b < maxBranches+2; b++ {
+		items := []intset.Item{add("widget"), add(fmt.Sprintf("gadget%c", 'a'+b))}
+		if b < maxBranches {
+			items = append(items, add("gizmo"))
+		}
+		existing.AddCategory(existing.Root(), intset.New(items...), "")
+	}
+	existing.FillUnions()
+	return c, existing
+}
+
+// steadyQuery is a query submitted n times every day of the window.
+func steadyQuery(text string, n float64) queries.RawQuery {
+	daily := make([]float64, 90)
+	for d := range daily {
+		daily[d] = n
+	}
+	return queries.RawQuery{Text: text, Daily: daily, Kind: "normal"}
+}
+
 func TestScatterFilterDropsNoise(t *testing.T) {
-	c, log := pipelineFixture(t, 400)
-	opts := DefaultOptions(sim.ThresholdJaccard, 0.8)
-	// A permissive relevance keeps noisy queries' results broad enough to
-	// scatter; the branch filter must catch a decent share of them.
-	opts.Relevance = 0.3
-	opts.MaxBranches = 6
-	_, st := Run(c, c.ExistingTree(), log, opts)
-	if st.DroppedScatter == 0 {
-		t.Fatalf("scatter filter dropped nothing: %+v", st)
+	c, existing := scatterFixture()
+	log := []queries.RawQuery{steadyQuery("widget", 5), steadyQuery("gizmo", 5), steadyQuery("gadgeta", 5)}
+	opts := Options{Variant: sim.ThresholdJaccard, Delta: 0.8, SkipMerge: true}
+	inst, st := Run(c, existing, log, opts)
+	if st.DroppedScatter != 1 || inst.N() != 2 {
+		t.Fatalf("want only the 12-branch query dropped: %+v", st)
+	}
+	for _, s := range inst.Sets {
+		if s.Label == "widget" {
+			t.Fatalf("scattered query %q survived the filter", s.Label)
+		}
 	}
 	// Without the existing tree the filter is off.
 	_, st2 := Run(c, nil, log, opts)
@@ -70,7 +108,7 @@ func TestScatterFilterDropsNoise(t *testing.T) {
 
 func TestMergingCombinesWeightsAndShrinks(t *testing.T) {
 	c, log := pipelineFixture(t, 300)
-	opts := DefaultOptions(sim.ThresholdJaccard, 0.8)
+	opts := Options{Variant: sim.ThresholdJaccard, Delta: 0.8}
 	instMerged, stM := Run(c, c.ExistingTree(), log, opts)
 	opts.SkipMerge = true
 	instRaw, stR := Run(c, c.ExistingTree(), log, opts)
@@ -91,7 +129,7 @@ func TestMergingCombinesWeightsAndShrinks(t *testing.T) {
 
 func TestUniformWeights(t *testing.T) {
 	c, log := pipelineFixture(t, 150)
-	opts := DefaultOptions(sim.PerfectRecall, 0.6)
+	opts := Options{Variant: sim.PerfectRecall, Delta: 0.6}
 	opts.UniformWeights = true
 	opts.SkipMerge = true
 	inst, _ := Run(c, nil, log, opts)
@@ -104,7 +142,7 @@ func TestUniformWeights(t *testing.T) {
 
 func TestRecentDaysSkewsTowardTrends(t *testing.T) {
 	c, log := pipelineFixture(t, 400)
-	base := DefaultOptions(sim.ThresholdJaccard, 0.8)
+	base := Options{Variant: sim.ThresholdJaccard, Delta: 0.8}
 	base.SkipMerge = true
 	instAll, _ := Run(c, nil, log, base)
 	recent := base
@@ -140,17 +178,45 @@ func TestRecentDaysSkewsTowardTrends(t *testing.T) {
 	}
 }
 
+// TestPerfectRecallUsesStricterRelevance: each result set holds the search
+// hits scoring at least 0.8 of the best for Jaccard and F1, and at least
+// 0.9 for Perfect-Recall and Exact (Section 5.1), so the stricter variants'
+// sets are subsets of the others' and some are strictly smaller.
 func TestPerfectRecallUsesStricterRelevance(t *testing.T) {
-	j := DefaultOptions(sim.ThresholdJaccard, 0.8)
-	pr := DefaultOptions(sim.PerfectRecall, 0.8)
-	if j.Relevance != 0.8 || pr.Relevance != 0.9 {
-		t.Fatalf("relevance defaults wrong: %v / %v (paper: 0.8 and 0.9)", j.Relevance, pr.Relevance)
+	c, log := pipelineFixture(t, 200)
+	ix := c.SearchIndex()
+	sets := func(v sim.Variant, rel float64) map[string]intset.Set {
+		inst, _ := Run(c, nil, log, Options{Variant: v, Delta: 0.8, SkipMerge: true})
+		out := make(map[string]intset.Set, inst.N())
+		for _, s := range inst.Sets {
+			hits := ix.Search(s.Label, rel, maxResults)
+			if s.Items.Len() != len(hits) {
+				t.Fatalf("%v: %q has %d items, want the %d hits at relevance %v", v, s.Label, s.Items.Len(), len(hits), rel)
+			}
+			out[s.Label] = s.Items
+		}
+		return out
+	}
+	j := sets(sim.ThresholdJaccard, 0.8)
+	sets(sim.ThresholdF1, 0.8)
+	sets(sim.Exact, 0.9)
+	shrunk := 0
+	for label, items := range sets(sim.PerfectRecall, 0.9) {
+		if !items.SubsetOf(j[label]) {
+			t.Fatalf("%q: perfect-recall set is not within the jaccard set", label)
+		}
+		if items.Len() < j[label].Len() {
+			shrunk++
+		}
+	}
+	if shrunk == 0 {
+		t.Fatal("the stricter relevance threshold shrank no result set")
 	}
 }
 
 func TestSplitTrainTest(t *testing.T) {
 	c, log := pipelineFixture(t, 200)
-	inst, _ := Run(c, nil, log, DefaultOptions(sim.ThresholdJaccard, 0.8))
+	inst, _ := Run(c, nil, log, Options{Variant: sim.ThresholdJaccard, Delta: 0.8})
 	train, test := SplitTrainTest(inst, xrand.New(42))
 	if train.N()+test.N() != inst.N() {
 		t.Fatalf("split sizes %d + %d != %d", train.N(), test.N(), inst.N())
@@ -172,7 +238,7 @@ func abs(x int) int {
 
 func TestAddExistingCategories(t *testing.T) {
 	c, log := pipelineFixture(t, 100)
-	inst, _ := Run(c, nil, log, DefaultOptions(sim.ThresholdJaccard, 0.8))
+	inst, _ := Run(c, nil, log, Options{Variant: sim.ThresholdJaccard, Delta: 0.8})
 	before := inst.N()
 	cats := c.ExistingCategories()
 	AddExistingCategories(inst, cats, 2.5, 0.7)

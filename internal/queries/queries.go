@@ -91,72 +91,61 @@ func (q RawQuery) RecentAvg(k int) float64 {
 	return s / float64(k)
 }
 
-// GenOptions tunes log generation.
-type GenOptions struct {
-	// NumQueries is the number of distinct raw queries.
-	NumQueries int
-	// Days is the observation window (the paper's platform rebuilds every
+// The generated log's fixed shape.
+const (
+	// days is the observation window (the paper's platform rebuilds every
 	// 90 days).
-	Days int
-	// TrendFraction of queries spike in the last fifth of the window.
-	TrendFraction float64
-	// RareFraction of queries dip below the frequency floor.
-	RareFraction float64
-	// NoiseFraction of queries are nonsense vocabulary mixes.
-	NoiseFraction float64
-	// ParaphraseFraction of queries are token permutations of earlier
+	days = 90
+	// trendFraction of queries spike in the last fifth of the window.
+	trendFraction float64 = 0.05
+	// rareFraction of queries dip below the frequency floor.
+	rareFraction float64 = 0.08
+	// noiseFraction of queries are nonsense vocabulary mixes.
+	noiseFraction float64 = 0.04
+	// paraphraseFraction of queries are token permutations of earlier
 	// queries ("shirt nike" for "nike shirt"): distinct strings whose
 	// result sets coincide, the fodder of the merging step (which more
 	// than halved the XYZ logs).
-	ParaphraseFraction float64
-	// BaseFreq scales the most popular query's daily frequency.
-	BaseFreq float64
-}
+	paraphraseFraction = 0.3
+)
 
-// DefaultGenOptions mirrors the experiment setup.
-func DefaultGenOptions(numQueries int) GenOptions {
-	// BaseFreq scales with the log so the rank-frequency curve keeps the
-	// bulk of queries above the preprocessing floor at any dataset size;
-	// real platforms' floors bind the tail, not 99% of the log.
-	base := 8 * float64(numQueries)
-	if base < 1000 {
-		base = 1000
+// Generate produces a raw query log of numQueries distinct queries over a
+// catalog.
+func Generate(c *catalog.Catalog, rng *xrand.RNG, numQueries int) []RawQuery {
+	// The most popular query's daily frequency scales with the log so the
+	// rank-frequency curve keeps the bulk of queries above the
+	// preprocessing floor at any dataset size; real platforms' floors bind
+	// the tail, not 99% of the log.
+	baseFreq := 8 * float64(numQueries)
+	if baseFreq < 1000 {
+		baseFreq = 1000
 	}
-	return GenOptions{
-		NumQueries:         numQueries,
-		Days:               90,
-		TrendFraction:      0.05,
-		RareFraction:       0.08,
-		NoiseFraction:      0.04,
-		ParaphraseFraction: 0.3,
-		BaseFreq:           base,
-	}
-}
-
-// Generate produces the raw query log for a catalog.
-func Generate(c *catalog.Catalog, rng *xrand.RNG, opts GenOptions) []RawQuery {
-	if opts.Days <= 0 {
-		opts.Days = 90
-	}
+	// The kind cutoffs are typed float64 constants, so each sum rounds to
+	// float64 exactly as a runtime sum would; untyped constants would fold
+	// at arbitrary precision and move a cutoff by one ulp.
+	const (
+		rareCut  = noiseFraction + rareFraction
+		trendCut = rareCut + trendFraction
+	)
 	textRng := rng.Split(2)
 	freqRng := rng.Split(3)
 
 	seen := make(map[string]bool)
 	var out []RawQuery
 	var normals []string
-	for rank := 0; len(out) < opts.NumQueries; rank++ {
+	for rank := 0; len(out) < numQueries; rank++ {
 		kind := "normal"
 		r := textRng.Float64()
 		switch {
-		case r < opts.NoiseFraction:
+		case r < noiseFraction:
 			kind = "noise"
-		case r < opts.NoiseFraction+opts.RareFraction:
+		case r < rareCut:
 			kind = "rare"
-		case r < opts.NoiseFraction+opts.RareFraction+opts.TrendFraction:
+		case r < trendCut:
 			kind = "trend"
 		}
 		var txt string
-		if kind == "normal" && len(normals) > 0 && textRng.Bool(opts.ParaphraseFraction) {
+		if kind == "normal" && len(normals) > 0 && textRng.Bool(paraphraseFraction) {
 			txt = permuteTokens(textRng, normals[textRng.Intn(len(normals))])
 			kind = "paraphrase"
 		} else {
@@ -169,13 +158,13 @@ func Generate(c *catalog.Catalog, rng *xrand.RNG, opts GenOptions) []RawQuery {
 			normals = append(normals, txt)
 		}
 		seen[txt] = true
-		base := opts.BaseFreq / float64(len(out)+1) // Zipf-ish by arrival rank
+		base := baseFreq / float64(len(out)+1) // Zipf-ish by arrival rank
 		if base < 3 {
 			base = 3
 		}
 		out = append(out, RawQuery{
 			Text:  txt,
-			Daily: dailySeries(freqRng, base, opts.Days, kind),
+			Daily: dailySeries(freqRng, base, days, kind),
 			Kind:  kind,
 		})
 	}

@@ -14,7 +14,7 @@ func testCatalog() *catalog.Catalog {
 
 func TestGenerateShape(t *testing.T) {
 	c := testCatalog()
-	log := Generate(c, xrand.New(2), DefaultGenOptions(300))
+	log := Generate(c, xrand.New(2), 300)
 	if len(log) != 300 {
 		t.Fatalf("generated %d queries, want 300", len(log))
 	}
@@ -35,7 +35,7 @@ func TestGenerateShape(t *testing.T) {
 
 func TestFrequencySkew(t *testing.T) {
 	c := testCatalog()
-	log := Generate(c, xrand.New(3), DefaultGenOptions(200))
+	log := Generate(c, xrand.New(3), 200)
 	// Early queries (low rank) should have much higher average frequency.
 	if log[0].AvgPerDay() < 5*log[150].AvgPerDay() {
 		t.Fatalf("frequency skew too flat: %v vs %v", log[0].AvgPerDay(), log[150].AvgPerDay())
@@ -44,7 +44,7 @@ func TestFrequencySkew(t *testing.T) {
 
 func TestKindsBehave(t *testing.T) {
 	c := testCatalog()
-	log := Generate(c, xrand.New(4), DefaultGenOptions(600))
+	log := Generate(c, xrand.New(4), 600)
 	kinds := map[string]int{}
 	for _, q := range log {
 		kinds[q.Kind]++
@@ -69,7 +69,7 @@ func TestKindsBehave(t *testing.T) {
 
 func TestQueriesUseCatalogVocabulary(t *testing.T) {
 	c := testCatalog()
-	log := Generate(c, xrand.New(5), DefaultGenOptions(200))
+	log := Generate(c, xrand.New(5), 200)
 	// Normal queries end with a product type.
 	types := map[string]bool{}
 	for _, v := range c.Values("type") {
@@ -97,8 +97,8 @@ func TestQueriesUseCatalogVocabulary(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	c := testCatalog()
-	a := Generate(c, xrand.New(7), DefaultGenOptions(100))
-	b := Generate(c, xrand.New(7), DefaultGenOptions(100))
+	a := Generate(c, xrand.New(7), 100)
+	b := Generate(c, xrand.New(7), 100)
 	for i := range a {
 		if a[i].Text != b[i].Text || a[i].AvgPerDay() != b[i].AvgPerDay() {
 			t.Fatal("query generation must be deterministic")

@@ -430,18 +430,6 @@ func (t *Tree) NormalizedScore(inst *oct.Instance, cfg oct.Config) float64 {
 	return t.Score(inst, cfg) / tw
 }
 
-// CoveredSets returns the IDs of input sets with a positive similarity score
-// against some category, i.e. the sets the tree covers.
-func (t *Tree) CoveredSets(inst *oct.Instance, cfg oct.Config) []oct.SetID {
-	var out []oct.SetID
-	for i, s := range inst.Sets {
-		if _, sc := t.BestCover(cfg.Variant, s.Items, cfg.Delta0(s)); sc > 0 {
-			out = append(out, oct.SetID(i))
-		}
-	}
-	return out
-}
-
 // Stats summarizes the tree's structure.
 type Stats struct {
 	Categories int

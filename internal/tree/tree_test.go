@@ -71,10 +71,12 @@ func TestT1ValidAndScores(t *testing.T) {
 	if got := tr.Score(inst, cfg); got != 4 {
 		t.Fatalf("T1 Perfect-Recall score = %v, want 4", got)
 	}
-	covered := tr.CoveredSets(inst, cfg)
-	want := []oct.SetID{0, 1, 2}
-	if len(covered) != 3 || covered[0] != want[0] || covered[1] != want[1] || covered[2] != want[2] {
-		t.Fatalf("T1 covered sets = %v, want %v", covered, want)
+	// T1 covers q1-q3 and not q4.
+	per := NewScorer(tr).PerSetScores(inst, cfg)
+	for i, want := range []bool{true, true, true, false} {
+		if covered := per[i] > 0; covered != want {
+			t.Fatalf("T1 covers set %d: %v, want %v (per-set scores %v)", i, covered, want, per)
+		}
 	}
 }
 
