@@ -18,6 +18,7 @@ package categorytree
 // the algorithm implementations themselves on a fixed mid-size instance.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -41,7 +42,7 @@ func runExperiment(b *testing.B, id string, metric func(*experiments.Result) (st
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, benchOpts())
+		res, err := experiments.RunContext(context.Background(), id, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +187,7 @@ func BenchmarkCCTScale(b *testing.B) {
 	b.ResetTimer()
 	before := obs.Default().Snapshot()
 	for i := 0; i < b.N; i++ {
-		if _, err := cct.Build(inst, cfg); err != nil {
+		if _, err := cct.BuildContext(context.Background(), inst, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,6 +34,7 @@
 package categorytree
 
 import (
+	"context"
 	"fmt"
 
 	"categorytree/internal/cct"
@@ -104,7 +105,7 @@ type CTCRResult struct {
 // BuildCTCR runs the Category Tree Conflict Resolver (Section 3) with
 // default solver settings.
 func BuildCTCR(inst *Instance, cfg Config) (*CTCRResult, error) {
-	res, err := ctcr.Build(inst, cfg, ctcr.DefaultOptions())
+	res, err := ctcr.BuildContext(context.Background(), inst, cfg, ctcr.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ type CCTResult struct {
 
 // BuildCCT runs the Clustering-Based Category Tree algorithm (Section 4).
 func BuildCCT(inst *Instance, cfg Config) (*CCTResult, error) {
-	res, err := cct.Build(inst, cfg)
+	res, err := cct.BuildContext(context.Background(), inst, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +236,7 @@ func RebuildSubtree(t *Tree, node *Node, inst *Instance, cfg Config, containment
 	if len(sub.Sets) == 0 {
 		return fmt.Errorf("categorytree: no input sets fall within the subtree")
 	}
-	res, err := ctcr.Build(sub, cfg, ctcr.DefaultOptions())
+	res, err := ctcr.BuildContext(context.Background(), sub, cfg, ctcr.DefaultOptions())
 	if err != nil {
 		return err
 	}

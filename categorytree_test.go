@@ -96,33 +96,80 @@ func TestConservativeUpdate(t *testing.T) {
 func TestRebuildSubtree(t *testing.T) {
 	inst := fig2()
 	cfg := Config{Variant: ThresholdJaccard, Delta: 0.6}
-	res, err := BuildCTCR(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := Score(res.Tree, inst, cfg)
 
-	// Rebuild the subtree under the child containing q2's result set.
-	var target *Node
-	for _, ch := range res.Tree.Root().Children() {
-		if inst.Sets[2].Items.SubsetOf(ch.Items) || float64(inst.Sets[2].Items.IntersectSize(ch.Items)) >= 0.8*float64(inst.Sets[2].Items.Len()) {
-			target = ch
-			break
+	t.Run("ctcr tree", func(t *testing.T) {
+		res, err := BuildCTCR(inst, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		// Rebuild under the top-level child that mostly contains some input
+		// set: q0 = {0..4} lies wholly inside the {0..4} child.
+		var target *Node
+	children:
+		for _, ch := range res.Tree.Root().Children() {
+			for _, s := range inst.Sets {
+				if float64(s.Items.IntersectSize(ch.Items)) >= 0.8*float64(s.Items.Len()) {
+					target = ch
+					break children
+				}
+			}
+		}
+		if target == nil {
+			t.Fatal("no top-level child mostly contains an input set")
+		}
+		checkRebuildSubtree(t, res.Tree, target, inst, cfg)
+	})
+
+	t.Run("hand-built taxonomy", func(t *testing.T) {
+		// Root {0..8} split into A = {0..4} and B = {5..8}: A covers q0 and
+		// the root q3, so the score is 3. Rebuilding A for the sets it mostly
+		// contains (q0, q1) also covers q1 and q2.
+		tr := NewTree(NewSet(0, 1, 2, 3, 4, 5, 6, 7, 8))
+		a := tr.AddCategory(nil, NewSet(0, 1, 2, 3, 4), "A")
+		tr.AddCategory(nil, NewSet(5, 6, 7, 8), "B")
+		before, after := checkRebuildSubtree(t, tr, a, inst, cfg)
+		if before != 3 || after != 5 {
+			t.Fatalf("score %v -> %v, want 3 -> 5", before, after)
+		}
+	})
+}
+
+// checkRebuildSubtree rebuilds target with containment 0.8 and checks what
+// RebuildSubtree promises: the tree stays valid, target and every category
+// outside its subtree keep their IDs and items, and the score does not fall.
+func checkRebuildSubtree(t *testing.T, tr *Tree, target *Node, inst *Instance, cfg Config) (before, after float64) {
+	t.Helper()
+	inTarget := func(n *Node) bool {
+		for ; n != nil; n = n.Parent() {
+			if n == target {
+				return true
+			}
+		}
+		return false
 	}
-	if target == nil {
-		t.Skip("no child mostly containing an input set in this construction")
-	}
-	if err := RebuildSubtree(res.Tree, target, inst, cfg, 0.8); err != nil {
+	rest := map[int]Set{}
+	tr.Walk(func(n *Node) {
+		if n == target || !inTarget(n) {
+			rest[n.ID] = n.Items
+		}
+	})
+	before = Score(tr, inst, cfg)
+	if err := RebuildSubtree(tr, target, inst, cfg, 0.8); err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(res.Tree, cfg); err != nil {
+	if err := Validate(tr, cfg); err != nil {
 		t.Fatalf("tree invalid after subtree rebuild: %v", err)
 	}
-	after := Score(res.Tree, inst, cfg)
+	for id, items := range rest {
+		if n := tr.Node(id); n == nil || !n.Items.Equal(items) {
+			t.Fatalf("category %d outside the rebuilt subtree changed", id)
+		}
+	}
+	after = Score(tr, inst, cfg)
 	if after < before-1e-9 {
 		t.Fatalf("subtree rebuild lost score: %v -> %v", before, after)
 	}
+	return before, after
 }
 
 func TestRebuildSubtreeErrors(t *testing.T) {

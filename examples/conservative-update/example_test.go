@@ -28,7 +28,7 @@ func Example() {
 		res.Tree.ComputeStats().Categories, res.OptimalMIS)
 
 	ctx := context.Background()
-	eng, err := delta.New(inst, cfg, delta.DefaultOptions())
+	eng, err := delta.NewContext(ctx, inst, cfg, delta.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

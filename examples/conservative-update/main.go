@@ -104,7 +104,7 @@ func main() {
 	// Rebuild repair the tree, emitting a minimal edit script instead of a
 	// reload for downstream mirrors.
 	ctx := context.Background()
-	eng, err := delta.New(inst, cfg, delta.DefaultOptions())
+	eng, err := delta.NewContext(ctx, inst, cfg, delta.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

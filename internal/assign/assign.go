@@ -31,13 +31,13 @@ import (
 
 // Assigner carries the state of one assignment run over a tree skeleton.
 //
-// Run defers its category writes. A placement appends the item to a
+// RunContext defers its category writes. A placement appends the item to a
 // pending list per category instead of rewriting the item set of every
-// ancestor up to the root, and Run writes each touched category once, with
-// one union, on every way out. Category item sets are therefore stale
-// inside Run; the Assigner answers "does category n hold item i?" from
-// usedOn instead (see holds), which New's union-invariant precondition
-// makes exact.
+// ancestor up to the root, and RunContext writes each touched category
+// once, with one union, on every way out. Category item sets are therefore
+// stale inside RunContext; the Assigner answers "does category n hold item
+// i?" from usedOn instead (see holds), which New's union-invariant
+// precondition makes exact.
 type Assigner struct {
 	inst *oct.Instance
 	cfg  oct.Config
@@ -90,9 +90,9 @@ type Assigner struct {
 // its children's items), as tree.AddItems maintains it and as an empty
 // skeleton trivially does. Under it, a category holds an item exactly when
 // it lies on the root path of one of the item's most-specific categories,
-// which is how Run answers membership while its writes are deferred. The
-// tree's shape must not change while the Assigner is in use, and inst must
-// be valid: the sets' and the tree's items lie below inst.Universe.
+// which is how RunContext answers membership while its writes are deferred.
+// The tree's shape must not change while the Assigner is in use, and inst
+// must be valid: the sets' and the tree's items lie below inst.Universe.
 func New(inst *oct.Instance, cfg oct.Config, t *tree.Tree, catOf map[oct.SetID]*tree.Node, targets []oct.SetID) *Assigner {
 	nodes := t.Categories() // preorder
 	ids := 0
@@ -292,8 +292,8 @@ func (a *Assigner) usableFor(it intset.Item, c *tree.Node) bool {
 // holds reports whether category n holds item it, that is whether n lies
 // on the root path of a category the item was placed on. Under New's
 // union-invariant precondition this is n.Items.Contains(it) on the live
-// tree; inside Run, whose category writes are deferred, n.Items may not
-// have the item yet.
+// tree; inside RunContext, whose category writes are deferred, n.Items may
+// not have the item yet.
 //
 //oct:hotpath runs per ancestor of every placement and marginal-gain probe; must not allocate
 func (a *Assigner) holds(n *tree.Node, it intset.Item) bool {
@@ -315,17 +315,11 @@ func (a *Assigner) within(anc, n *tree.Node) bool {
 	return a.pre[anc.ID] <= p && p < a.end[anc.ID]
 }
 
-// Run executes Algorithm 2: the greedy covering loop followed by the
+// RunContext executes Algorithm 2: the greedy covering loop followed by the
 // marginal-gain sweep for leftovers. Iteration counters and the stage wall
-// time land under "assign.run" in the default obs registry.
-func (a *Assigner) Run() {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	_ = a.RunContext(context.Background())
-}
-
-// RunContext is Run with a context: metrics land in the context's obs
-// registry, trace spans nest under the caller's, and cancellation aborts the
-// covering loop between iterations, returning ctx.Err().
+// time land under "assign.run" in the context's obs registry, trace spans
+// nest under the caller's, and cancellation aborts the covering loop
+// between iterations, returning ctx.Err().
 func (a *Assigner) RunContext(ctx context.Context) error {
 	sp, ctx := obs.StartSpanContext(ctx, "assign.run")
 	defer sp.End()
@@ -511,7 +505,7 @@ func (a *Assigner) place(it intset.Item, dest *tree.Node) {
 }
 
 // flush writes every touched category's pending items with one union, so
-// the tree's item sets are current again when Run returns.
+// the tree's item sets are current again when RunContext returns.
 func (a *Assigner) flush() {
 	for _, n := range a.touched {
 		items := a.pending[n.ID]

@@ -94,7 +94,9 @@ func TestCoverGapPerfectRecallAtDriftedDelta(t *testing.T) {
 	if k, ok := a.CoverGap(0); k != 2 || !ok {
 		t.Fatalf("CoverGap = %d,%v; want 2,true (precision 3/10 reaches δ=%v)", k, ok, cfg.Delta)
 	}
-	a.Run()
+	if err := a.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if !a.Covered(0) {
 		t.Fatalf("q not covered after Run: C = %v", catOf[0].Items)
 	}
@@ -126,7 +128,7 @@ func TestCondenseKeepsCoverAtDriftedDelta(t *testing.T) {
 		if sim.Score(c.v, inst.Sets[0].Items, cat.Items, delta) <= 0 {
 			t.Fatalf("%v: sim.Score says the category does not cover q", c.v)
 		}
-		Condense(inst, cfg, tr)
+		CondenseContext(context.Background(), inst, cfg, tr)
 		AddMiscCategory(inst, tr)
 		if got := tr.Score(inst, cfg); got <= 0 {
 			t.Errorf("%v: tree scores %v; condensing dropped the cover at δ=%v", c.v, got, delta)
@@ -150,7 +152,9 @@ func TestRunPrioritizesGain(t *testing.T) {
 	tr.AddItems(catOf[0], intset.New(1))    // J = 1/2
 	tr.AddItems(catOf[1], intset.New(2, 3)) // J = 2/3 ≥ 0.65: covered
 	a := New(inst, cfg, tr, catOf, targets)
-	a.Run()
+	if err := a.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if !catOf[0].Items.Contains(0) {
 		t.Fatal("item 0 should complete the higher-gain q0")
 	}
@@ -173,7 +177,9 @@ func TestRunRespectsItemBounds(t *testing.T) {
 	tr.AddItems(catOf[0], intset.New(1))
 	tr.AddItems(catOf[1], intset.New(2))
 	a := New(inst, cfg, tr, catOf, targets)
-	a.Run()
+	if err := a.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if !catOf[0].Items.Contains(0) || !catOf[1].Items.Contains(0) {
 		t.Fatalf("bound-2 duplicate should reach both categories: %v / %v",
 			catOf[0].Items, catOf[1].Items)
@@ -195,7 +201,9 @@ func TestLeftoversImproveCutoffScore(t *testing.T) {
 	tr.AddItems(catOf[0], intset.New(0, 1))
 	tr.AddItems(catOf[1], intset.New(3, 4))
 	a := New(inst, cfg, tr, catOf, targets)
-	a.Run()
+	if err := a.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if !catOf[1].Items.Contains(2) {
 		t.Fatalf("leftover item 2 should go to the heavier set's category: %v / %v",
 			catOf[0].Items, catOf[1].Items)
@@ -219,7 +227,9 @@ func TestLeftoversNeverUncover(t *testing.T) {
 	tr.AddItems(c1, intset.New(0, 1))
 	tr.AddItems(c0, intset.Range(0, 5)) // J(q0, C0) = 1 ≥ 0.83: covered
 	a := New(inst, cfg, tr, catOf, []oct.SetID{0, 1})
-	a.Run()
+	if err := a.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	// q1 cannot be covered: its gap requires item 9, but 5/6 < 0.83... the
 	// cover check: adding 9 to C1 propagates to C0, dropping J(q0,C0) to
 	// 5/6 ≈ 0.833 ≥ 0.83 — still fine; but then q1's J = 3/3 = 1. So 9 IS
@@ -254,7 +264,9 @@ func TestLeftoversStopAtHoldingAncestor(t *testing.T) {
 	tr.AddItems(C, intset.Range(20, 29))
 	catOf := map[oct.SetID]*tree.Node{0: A, 1: B, 2: C}
 	a := New(inst, cfg, tr, catOf, []oct.SetID{0, 1, 2})
-	a.Run()
+	if err := a.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if !C.Items.Contains(9) {
 		t.Fatalf("item 9's second copy should reach C: C = %v", C.Items)
 	}
@@ -309,7 +321,7 @@ func TestCondenseRemovesNoncoveringCategories(t *testing.T) {
 	tr.AddCategory(nil, intset.New(3, 4), "noise")
 	tr.AddItems(good, nil)
 	tr.Root().Items = intset.New(0, 1, 2, 3, 4)
-	Condense(inst, cfg, tr)
+	CondenseContext(context.Background(), inst, cfg, tr)
 	if tr.Node(good.ID) == nil {
 		t.Fatal("covering category was removed")
 	}
@@ -333,7 +345,7 @@ func TestCondenseKeepsHighestPrecisionCover(t *testing.T) {
 	loose := tr.AddCategory(nil, intset.New(0, 1, 2, 3, 4), "loose")
 	exact := tr.AddCategory(loose, intset.New(0, 1, 2, 3), "exact")
 	tr.Root().Items = loose.Items
-	Condense(inst, cfg, tr)
+	CondenseContext(context.Background(), inst, cfg, tr)
 	if tr.Node(exact.ID) == nil {
 		t.Fatal("highest-precision cover was removed")
 	}
@@ -353,7 +365,7 @@ func TestCondenseDropsItemsOfUncoveredSets(t *testing.T) {
 	tr := tree.New(nil)
 	cov := tr.AddCategory(nil, intset.New(0, 1, 2, 5), "cov")
 	tr.Root().Items = cov.Items
-	Condense(inst, cfg, tr)
+	CondenseContext(context.Background(), inst, cfg, tr)
 	if tr.Node(cov.ID) == nil {
 		t.Fatal("covering category removed")
 	}

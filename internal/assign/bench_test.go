@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"testing"
 
 	"categorytree/internal/intset"
@@ -34,7 +35,7 @@ func benchInstance(nSets, universe int) *oct.Instance {
 
 // benchSkeleton builds the flat dedicated-category tree CCT hands to
 // Algorithm 2, pre-filling each category with every other item of its set so
-// Run starts from real cover gaps instead of empty leaves.
+// RunContext starts from real cover gaps instead of empty leaves.
 func benchSkeleton(inst *oct.Instance) (*tree.Tree, map[oct.SetID]*tree.Node, []oct.SetID) {
 	t := tree.New(nil)
 	catOf := make(map[oct.SetID]*tree.Node, len(inst.Sets))
@@ -59,11 +60,13 @@ func BenchmarkAssignRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer() // Run mutates the tree; rebuild the skeleton outside the clock
+		b.StopTimer() // RunContext mutates the tree; rebuild the skeleton outside the clock
 		tr, catOf, targets := benchSkeleton(inst)
 		a := New(inst, cfg, tr, catOf, targets)
 		b.StartTimer()
-		a.Run()
+		if err := a.RunContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -75,8 +78,10 @@ func BenchmarkCondense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer() // condensing removes categories; rebuild and re-run assignment first
 		tr, catOf, targets := benchSkeleton(inst)
-		New(inst, cfg, tr, catOf, targets).Run()
+		if err := New(inst, cfg, tr, catOf, targets).RunContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
-		Condense(inst, cfg, tr)
+		CondenseContext(context.Background(), inst, cfg, tr)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"categorytree/internal/tree"
 )
 
-// Condense applies the tree-condensing steps of Algorithm 1 (lines 24-25),
-// shared by CTCR and CCT for δ < 1 variants:
+// CondenseContext applies the tree-condensing steps of Algorithm 1 (lines
+// 24-25), shared by CTCR and CCT for δ < 1 variants:
 //
 //  1. remove items that appear only in uncovered input sets (they were
 //     spent on covers that failed; dropping them can only raise precision);
@@ -20,14 +20,10 @@ import (
 //
 // Coverage is evaluated against the whole tree, so sets covered
 // incidentally by another set's category are preserved.
-func Condense(inst *oct.Instance, cfg oct.Config, t *tree.Tree) {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	CondenseContext(context.Background(), inst, cfg, t)
-}
-
-// CondenseContext is Condense with a context: metrics land in the context's
-// obs registry and trace spans nest under the caller's. Condensing is a
-// short single pass, so cancellation is not polled mid-way.
+//
+// Metrics land in the context's obs registry and trace spans nest under the
+// caller's. Condensing is a short single pass, so cancellation is not
+// polled mid-way.
 func CondenseContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, t *tree.Tree) {
 	sp, _ := obs.StartSpanContext(ctx, "assign.condense")
 	defer sp.End()

@@ -16,6 +16,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -40,8 +41,10 @@ const (
 
 // BuildICQ constructs the IC-Q tree: items are vectors over the input sets
 // ("the i-th entry is 1 if the item appears in the i-th input set"),
-// clustered agglomeratively under Euclidean distance.
-func BuildICQ(inst *oct.Instance) (*tree.Tree, error) {
+// clustered agglomeratively under Euclidean distance. The clustering
+// records its metrics in ctx's obs registry, nests its trace span under the
+// caller's, and stops with ctx.Err() when ctx is canceled.
+func BuildICQ(ctx context.Context, inst *oct.Instance) (*tree.Tree, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
@@ -54,7 +57,7 @@ func BuildICQ(inst *oct.Instance) (*tree.Tree, error) {
 		}
 	}
 	pts := &membershipPoints{member: member}
-	return buildFromItemPoints(inst, pts)
+	return buildFromItemPoints(ctx, inst, pts)
 }
 
 type membershipPoints struct {
@@ -83,20 +86,21 @@ func (p *membershipPoints) Dist(i, j int) float64 {
 }
 
 // BuildICS constructs the IC-S tree from per-item semantic embeddings
-// (title vectors in the experiments; any dense feature works).
-func BuildICS(inst *oct.Instance, itemVecs [][]float64) (*tree.Tree, error) {
+// (title vectors in the experiments; any dense feature works). ctx carries
+// the clustering's registry, trace and cancellation, as in BuildICQ.
+func BuildICS(ctx context.Context, inst *oct.Instance, itemVecs [][]float64) (*tree.Tree, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	if len(itemVecs) != inst.Universe {
 		return nil, fmt.Errorf("baseline: %d item vectors for universe %d", len(itemVecs), inst.Universe)
 	}
-	return buildFromItemPoints(inst, &cluster.DensePoints{Rows: itemVecs})
+	return buildFromItemPoints(ctx, inst, &cluster.DensePoints{Rows: itemVecs})
 }
 
 // buildFromItemPoints runs the shared IC pipeline over a full item-distance
 // space.
-func buildFromItemPoints(inst *oct.Instance, p cluster.Points) (*tree.Tree, error) {
+func buildFromItemPoints(ctx context.Context, inst *oct.Instance, p cluster.Points) (*tree.Tree, error) {
 	// The leaf budget is one leaf category per input set, a fair comparison.
 	targetLeaves := inst.N()
 	if targetLeaves < 2 {
@@ -117,7 +121,7 @@ func buildFromItemPoints(inst *oct.Instance, p cluster.Points) (*tree.Tree, erro
 	}
 
 	sub := &subsetPoints{p: p, idx: sample}
-	dend, err := cluster.Agglomerative(sub)
+	dend, err := cluster.AgglomerativeContext(ctx, sub)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -23,7 +24,7 @@ func twoGroupInstance() *oct.Instance {
 
 func TestICQSeparatesCooccurrenceGroups(t *testing.T) {
 	inst := twoGroupInstance()
-	tr, err := BuildICQ(inst)
+	tr, err := BuildICQ(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestICSClustersByTitleSimilarity(t *testing.T) {
 	}
 	// 256 hash buckets keep the two token vocabularies from colliding.
 	vecs := TitleEmbeddings(titles, 256)
-	tr, err := BuildICS(inst, vecs)
+	tr, err := BuildICS(context.Background(), inst, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestSamplingPathAssignsEveryItem(t *testing.T) {
 		oct.InputSet{Items: intset.Range(0, n/2), Weight: 1},
 		oct.InputSet{Items: intset.Range(n/2, n), Weight: 1},
 	)
-	tr, err := BuildICQ(inst)
+	tr, err := BuildICQ(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSamplingPathAssignsEveryItem(t *testing.T) {
 
 func TestBuildICSValidatesVectorCount(t *testing.T) {
 	inst := twoGroupInstance()
-	if _, err := BuildICS(inst, make([][]float64, 3)); err == nil {
+	if _, err := BuildICS(context.Background(), inst, make([][]float64, 3)); err == nil {
 		t.Fatal("mismatched vector count should error")
 	}
 }
@@ -138,7 +139,7 @@ func TestTokenize(t *testing.T) {
 
 func TestEmptyUniverseErrors(t *testing.T) {
 	inst := &oct.Instance{Universe: 0}
-	if _, err := BuildICQ(inst); err == nil {
+	if _, err := BuildICQ(context.Background(), inst); err == nil {
 		t.Fatal("empty universe should error")
 	}
 }

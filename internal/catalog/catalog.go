@@ -92,19 +92,6 @@ func (c *Catalog) ItemsWith(attr, value string) intset.Set {
 	return b.Build()
 }
 
-// Values returns the distinct values of an attribute, in first-seen order.
-func (c *Catalog) Values(attr string) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, p := range c.Products {
-		if v := p.Attrs[attr]; v != "" && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // domainSpec describes how to synthesize one domain.
 type domainSpec struct {
 	name  string

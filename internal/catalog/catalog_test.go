@@ -76,8 +76,14 @@ func TestItemsWithMatchesAttrs(t *testing.T) {
 			t.Fatal("ItemsWith returned a non-matching item")
 		}
 	}
+	brands := map[string]bool{}
+	for _, p := range c.Products {
+		if v := p.Attrs["brand"]; v != "" {
+			brands[v] = true
+		}
+	}
 	total := 0
-	for _, v := range c.Values("brand") {
+	for v := range brands {
 		total += c.ItemsWith("brand", v).Len()
 	}
 	if total != c.Len() {

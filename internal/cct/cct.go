@@ -37,15 +37,8 @@ type Result struct {
 	Dendrogram *cluster.Dendrogram
 }
 
-// Build runs CCT over the instance under cfg. Per-stage wall times are
-// recorded as timers under the "cct.build" prefix of the default obs
-// registry.
-func Build(inst *oct.Instance, cfg oct.Config) (*Result, error) {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	return BuildContext(context.Background(), inst, cfg)
-}
-
-// BuildContext is Build with a context: metrics land in the context's obs
+// BuildContext runs CCT over the instance under cfg. Per-stage wall times
+// are recorded as timers under the "cct.build" prefix of the context's obs
 // registry, trace spans nest under the caller's, and cancellation aborts
 // between and inside stages (clustering's merge loop, the assignment loop),
 // returning ctx.Err().

@@ -1,6 +1,7 @@
 package cct
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -68,7 +69,7 @@ func TestEmbeddingsFig7(t *testing.T) {
 func TestFig7EndToEnd(t *testing.T) {
 	inst := fig2Instance()
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.6}
-	res, err := Build(inst, cfg)
+	res, err := BuildContext(context.Background(), inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestAllVariantsValidTrees(t *testing.T) {
 		inst := randomInstance(r, 12, 36)
 		for _, v := range sim.Variants() {
 			cfg := oct.Config{Variant: v, Delta: 0.5 + r.Float64()*0.4}
-			res, err := Build(inst, cfg)
+			res, err := BuildContext(context.Background(), inst, cfg)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, v, err)
 			}
@@ -141,11 +142,11 @@ func randomInstance(r *xrand.RNG, nSets, universe int) *oct.Instance {
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
-	if _, err := Build(&oct.Instance{Universe: 1}, oct.Config{Variant: sim.Exact}); err == nil {
+	if _, err := BuildContext(context.Background(), &oct.Instance{Universe: 1}, oct.Config{Variant: sim.Exact}); err == nil {
 		t.Fatal("empty instance should error")
 	}
 	bad := &oct.Instance{Universe: 1, Sets: []oct.InputSet{{Items: intset.New(9), Weight: 1}}}
-	if _, err := Build(bad, oct.Config{Variant: sim.Exact}); err == nil {
+	if _, err := BuildContext(context.Background(), bad, oct.Config{Variant: sim.Exact}); err == nil {
 		t.Fatal("invalid instance should error")
 	}
 }
@@ -153,7 +154,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 func TestSingleSet(t *testing.T) {
 	inst := &oct.Instance{Universe: 3, Sets: []oct.InputSet{{Items: intset.New(0, 1), Weight: 4, Label: "solo"}}}
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.8}
-	res, err := Build(inst, cfg)
+	res, err := BuildContext(context.Background(), inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +168,11 @@ func TestSingleSet(t *testing.T) {
 func TestBuildDeterministic(t *testing.T) {
 	inst := randomInstance(xrand.New(909), 15, 40)
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.7}
-	a, err := Build(inst, cfg)
+	a, err := BuildContext(context.Background(), inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(inst, cfg)
+	b, err := BuildContext(context.Background(), inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestAutoScalesPastMaxPoints(t *testing.T) {
 	n := cluster.MaxPoints + 1
 	inst := groupedInstance(xrand.New(4), n)
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.7}
-	res, err := Build(inst, cfg)
+	res, err := BuildContext(context.Background(), inst, cfg)
 	if err != nil {
 		t.Fatalf("build at MaxPoints+1: %v", err)
 	}
@@ -231,16 +232,16 @@ func TestExactDendrogramBelowMaxPoints(t *testing.T) {
 	for _, inst := range []*oct.Instance{randomInstance(rng, 20, 30), groupedInstance(rng, 600)} {
 		for _, v := range []sim.Variant{sim.ThresholdJaccard, sim.CutoffF1, sim.PerfectRecall} {
 			cfg := oct.Config{Variant: v, Delta: 0.7}
-			res, err := Build(inst, cfg)
+			res, err := BuildContext(context.Background(), inst, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := cluster.Agglomerative(cluster.NewSparsePoints(Embed(inst, cfg)))
+			want, err := cluster.AgglomerativeContext(context.Background(), cluster.NewSparsePoints(Embed(inst, cfg)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(res.Dendrogram, want) {
-				t.Fatalf("%d sets, %v: CCT's dendrogram differs from cluster.Agglomerative's", inst.N(), v)
+				t.Fatalf("%d sets, %v: CCT's dendrogram differs from cluster.AgglomerativeContext's", inst.N(), v)
 			}
 		}
 	}

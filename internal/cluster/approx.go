@@ -37,12 +37,6 @@ type ApproxOptions struct {
 	Force bool
 }
 
-// ApproxAgglomerative is ApproxAgglomerativeContext without a context.
-func ApproxAgglomerative(vecs []SparseVec, opts ApproxOptions) (*Dendrogram, error) {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	return ApproxAgglomerativeContext(context.Background(), vecs, opts)
-}
-
 // ApproxAgglomerativeContext clusters arbitrarily many sparse vectors with
 // average linkage restricted to a kNN graph, removing the O(n²) distance
 // matrix of the exact path:

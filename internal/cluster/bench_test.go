@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"categorytree/internal/xrand"
@@ -45,7 +46,7 @@ func BenchmarkApproxLargeN(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ApproxAgglomerative(vecs, ApproxOptions{K: 16}); err != nil {
+		if _, err := ApproxAgglomerativeContext(context.Background(), vecs, ApproxOptions{K: 16}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -124,14 +124,15 @@ func sortedKeys(m map[int]bool) []int {
 	return keys
 }
 
-// MaxPoints bounds the O(n²) distance matrix; beyond it Agglomerative
-// refuses rather than exhausting memory. ApproxAgglomerativeContext clusters
-// larger inputs on a kNN graph; the IC-S/IC-Q baselines sample their item
-// repositories down to the bound instead.
+// MaxPoints bounds the O(n²) distance matrix; beyond it
+// AgglomerativeContext refuses rather than exhausting memory.
+// ApproxAgglomerativeContext clusters larger inputs on a kNN graph; the
+// IC-S/IC-Q baselines sample their item repositories down to the bound
+// instead.
 const MaxPoints = 12000
 
-// Agglomerative clusters the points bottom-up with average linkage and
-// returns the dendrogram. It errors on empty input or inputs beyond
+// AgglomerativeContext clusters the points bottom-up with average linkage
+// and returns the dendrogram. It errors on empty input or inputs beyond
 // MaxPoints.
 //
 // The implementation is the nearest-neighbor-chain algorithm, which runs in
@@ -140,14 +141,10 @@ const MaxPoints = 12000
 // nearest, merge them, and continue from the remaining chain. The merge
 // sequence it emits is ordered by merge distance, matching what a
 // global-minimum implementation would produce.
-func Agglomerative(p Points) (*Dendrogram, error) {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	return AgglomerativeContext(context.Background(), p)
-}
-
-// AgglomerativeContext is Agglomerative with a context: metrics land in the
-// context's obs registry, trace spans nest under the caller's, and
-// cancellation aborts the merge loop between merges, returning ctx.Err().
+//
+// Metrics land in the context's obs registry, trace spans nest under the
+// caller's, and cancellation aborts the merge loop between merges,
+// returning ctx.Err().
 func AgglomerativeContext(ctx context.Context, p Points) (*Dendrogram, error) {
 	n := p.Len()
 	if n == 0 {

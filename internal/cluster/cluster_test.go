@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -17,7 +18,7 @@ func (p linePoints) Dist(i, j int) float64 { return math.Abs(p[i] - p[j]) }
 func TestAgglomerativeTwoObviousClusters(t *testing.T) {
 	// {0, 1, 2} and {100, 101, 102}: the last merge must join the groups.
 	p := linePoints{0, 1, 2, 100, 101, 102}
-	d, err := Agglomerative(p)
+	d, err := AgglomerativeContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestAgglomerativeTwoObviousClusters(t *testing.T) {
 
 func TestDendrogramStructure(t *testing.T) {
 	p := linePoints{0, 1, 10}
-	d, err := Agglomerative(p)
+	d, err := AgglomerativeContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,29 +67,30 @@ func TestDendrogramStructure(t *testing.T) {
 }
 
 func TestAgglomerativeSingleAndEmpty(t *testing.T) {
-	d, err := Agglomerative(linePoints{5})
+	d, err := AgglomerativeContext(context.Background(), linePoints{5})
 	if err != nil || d.Root() != 0 || len(d.Merges) != 0 {
 		t.Fatalf("single point: %+v, %v", d, err)
 	}
-	if _, err := Agglomerative(linePoints{}); err == nil {
+	if _, err := AgglomerativeContext(context.Background(), linePoints{}); err == nil {
 		t.Fatal("empty input should error")
 	}
 }
 
 // TestAgglomerativeTooManyPoints pins the exact path's unchanged contract:
 // the O(n²) matrix bound still refuses oversized inputs. Scaling past the
-// bound is the job of ApproxAgglomerative — cct.BuildContext routes through
-// it and succeeds at MaxPoints+1 (covered in internal/cct's boundary test).
+// bound is the job of ApproxAgglomerativeContext — cct.BuildContext routes
+// through it and succeeds at MaxPoints+1 (covered in internal/cct's boundary
+// test).
 func TestAgglomerativeTooManyPoints(t *testing.T) {
 	big := make(linePoints, MaxPoints+1)
-	if _, err := Agglomerative(big); err == nil {
+	if _, err := AgglomerativeContext(context.Background(), big); err == nil {
 		t.Fatal("exact path should still refuse beyond MaxPoints")
 	}
 }
 
 func TestCutBounds(t *testing.T) {
 	p := linePoints{0, 1, 2, 3}
-	d, _ := Agglomerative(p)
+	d, _ := AgglomerativeContext(context.Background(), p)
 	if got := d.Cut(0); len(got) != 4 {
 		t.Fatal("Cut(0) should clamp to 1 cluster")
 	}
@@ -118,7 +120,7 @@ func TestUPGMAMatchesNaive(t *testing.T) {
 		for i := range pts {
 			pts[i] = rng.Float64() * 100
 		}
-		got, err := Agglomerative(pts)
+		got, err := AgglomerativeContext(context.Background(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func checkDendrogram(t *testing.T, d *Dendrogram, n int) {
 }
 
 // TestDifferentialExactParity is the harness core: across 200 seeded
-// instances, ApproxAgglomerative on the complete graph (k ≥ n−1) must
+// instances, ApproxAgglomerativeContext on the complete graph (k ≥ n−1) must
 // produce the same partition as the exact NN-chain at every cut height.
 func TestDifferentialExactParity(t *testing.T) {
 	ctx := context.Background()
@@ -124,7 +124,7 @@ func TestDifferentialExactParity(t *testing.T) {
 	mismatches := 0
 	for trial, n := range diffSizes(rng, trials) {
 		vecs := diffRandVecs(rng.Split(int64(trial)), n)
-		exact, err := Agglomerative(NewSparsePoints(vecs))
+		exact, err := AgglomerativeContext(ctx, NewSparsePoints(vecs))
 		if err != nil {
 			t.Fatalf("trial %d (n=%d): exact: %v", trial, n, err)
 		}

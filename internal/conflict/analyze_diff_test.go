@@ -223,7 +223,10 @@ func TestTriplesEmittedOnce(t *testing.T) {
 				continue
 			}
 			for _, delta := range []float64{0.5, 0.65, 0.8, 0.95} {
-				res := Analyze(inst, oct.Config{Variant: v, Delta: delta})
+				res, err := AnalyzeContext(context.Background(), inst, oct.Config{Variant: v, Delta: delta}, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i := 1; i < len(res.Conflicts3); i++ {
 					if compareTriples(res.Conflicts3[i-1], res.Conflicts3[i]) >= 0 {
 						t.Fatalf("instance %d %v δ=%v: triples %v, %v out of order or repeated",

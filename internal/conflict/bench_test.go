@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"context"
 	"testing"
 
 	"categorytree/internal/intset"
@@ -36,7 +37,7 @@ func BenchmarkAnalyzeThresholdJaccard(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(inst, cfg)
+		AnalyzeContext(context.Background(), inst, cfg, Options{})
 	}
 }
 
@@ -46,7 +47,7 @@ func BenchmarkAnalyzePerfectRecall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(inst, cfg)
+		AnalyzeContext(context.Background(), inst, cfg, Options{})
 	}
 }
 
@@ -56,6 +57,6 @@ func BenchmarkAnalyzeExact(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(inst, cfg)
+		AnalyzeContext(context.Background(), inst, cfg, Options{})
 	}
 }

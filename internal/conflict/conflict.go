@@ -296,21 +296,14 @@ type Options struct {
 	No3Conflicts bool
 }
 
-// Analyze computes the full conflict structure of the instance: rankings,
-// 2-conflicts, must-cover-together pairs, and (for δ < 1) 3-conflicts.
-// Intersecting pairs are enumerated via an inverted index and evaluated in
-// parallel.
-func Analyze(inst *oct.Instance, cfg oct.Config) *Result {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	res, _ := AnalyzeContext(context.Background(), inst, cfg, Options{})
-	return res
-}
-
-// AnalyzeContext is Analyze with a context and options: metrics land in the
-// context's obs registry (per-request when the caller attached one), trace
-// spans nest under the caller's, and cancellation is honored between pair
-// enumerations — a canceled context aborts the parallel sweep and returns
-// ctx.Err() with a nil result.
+// AnalyzeContext computes the full conflict structure of the instance:
+// rankings, 2-conflicts, must-cover-together pairs, and (for δ < 1 unless
+// aOpts.No3Conflicts) 3-conflicts. Intersecting pairs are enumerated via an
+// inverted index and evaluated in parallel. Metrics land in the context's
+// obs registry (per-request when the caller attached one), trace spans nest
+// under the caller's, and cancellation is honored between pair enumerations
+// — a canceled context aborts the parallel sweep and returns ctx.Err() with
+// a nil result.
 //
 // The sweep runs set a on worker a mod W, which emits the set's 2-conflicts
 // as one run sorted by partner; merging the runs in set order yields the

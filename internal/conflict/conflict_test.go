@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -43,7 +44,10 @@ func fig2Instance() *oct.Instance {
 func TestExactConflictsFig4(t *testing.T) {
 	inst := fig2Instance()
 	cfg := oct.Config{Variant: sim.Exact}
-	res := Analyze(inst, cfg)
+	res, err := AnalyzeContext(context.Background(), inst, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := [][2]oct.SetID{{0, 2}, {0, 3}, {2, 3}}
 	if len(res.Conflicts2) != len(want) {
 		t.Fatalf("Conflicts2 = %v, want %v", res.Conflicts2, want)
@@ -113,7 +117,10 @@ func TestExample32PairRelations(t *testing.T) {
 func TestFig5Hypergraph(t *testing.T) {
 	inst := fig5Instance()
 	cfg := oct.Config{Variant: sim.PerfectRecall, Delta: 0.61}
-	res := Analyze(inst, cfg)
+	res, err := AnalyzeContext(context.Background(), inst, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Conflicts2) != 0 {
 		t.Fatalf("Conflicts2 = %v, want none", res.Conflicts2)
 	}
@@ -148,7 +155,10 @@ func TestNoTripleWhenMiddleIsLargest(t *testing.T) {
 		},
 	}
 	cfg := oct.Config{Variant: sim.PerfectRecall, Delta: 0.9}
-	res := Analyze(inst, cfg)
+	res, err := AnalyzeContext(context.Background(), inst, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.MustCoverTogether(0, 1) || !res.MustCoverTogether(0, 2) {
 		t.Fatalf("containment pairs should be must-together; mustT=%v", res.MustT)
 	}
@@ -180,7 +190,10 @@ func TestJaccardPairFormulas(t *testing.T) {
 	if pc.Together || pc.Separately {
 		t.Fatalf("pc = %+v, want both false (a 2-conflict)", pc)
 	}
-	res := Analyze(inst, cfg)
+	res, err := AnalyzeContext(context.Background(), inst, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Conflicts2) != 1 {
 		t.Fatalf("expected one 2-conflict, got %v", res.Conflicts2)
 	}
@@ -250,7 +263,10 @@ func TestItemBoundsRelaxSeparation(t *testing.T) {
 
 func TestC2Stats(t *testing.T) {
 	inst := fig2Instance()
-	res := Analyze(inst, oct.Config{Variant: sim.Exact})
+	res, err := AnalyzeContext(context.Background(), inst, oct.Config{Variant: sim.Exact}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Conflicts: (q1,q3), (q1,q4), (q3,q4). Counts: q1:2, q2:0, q3:2, q4:2.
 	// Weighted avg = (2·2 + 1·0 + 1·2 + 1·2)/5 = 8/5.
 	if got := C2Stats(inst, res); got != 8.0/5.0 {
@@ -266,7 +282,10 @@ func TestQuickExactConflictDefinition(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rng.Split(seed)
 		inst := randomInstance(r, 8, 24)
-		res := Analyze(inst, oct.Config{Variant: sim.Exact})
+		res, err := AnalyzeContext(context.Background(), inst, oct.Config{Variant: sim.Exact}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for x := 0; x < inst.N(); x++ {
 			for y := x + 1; y < inst.N(); y++ {
 				qx, qy := inst.Sets[x].Items, inst.Sets[y].Items
@@ -292,7 +311,10 @@ func TestQuickDisjointPairsNeverConstrain(t *testing.T) {
 		inst := randomInstance(r, 8, 24)
 		delta := 0.3 + float64(dRaw%60)/100.0
 		for _, v := range sim.Variants() {
-			res := Analyze(inst, oct.Config{Variant: v, Delta: delta})
+			res, err := AnalyzeContext(context.Background(), inst, oct.Config{Variant: v, Delta: delta}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for x := 0; x < inst.N(); x++ {
 				for y := x + 1; y < inst.N(); y++ {
 					if inst.Sets[x].Items.Intersects(inst.Sets[y].Items) {
@@ -319,8 +341,14 @@ func TestQuickConflictMonotoneDelta(t *testing.T) {
 		r := rng.Split(seed)
 		inst := randomInstance(r, 10, 20)
 		for _, v := range []sim.Variant{sim.ThresholdJaccard, sim.ThresholdF1, sim.PerfectRecall} {
-			lo := Analyze(inst, oct.Config{Variant: v, Delta: 0.55})
-			hi := Analyze(inst, oct.Config{Variant: v, Delta: 0.9})
+			lo, err := AnalyzeContext(context.Background(), inst, oct.Config{Variant: v, Delta: 0.55}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hi, err := AnalyzeContext(context.Background(), inst, oct.Config{Variant: v, Delta: 0.9}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, cpair := range lo.Conflicts2 {
 				if !hi.IsConflict2(cpair[0], cpair[1]) {
 					return false
@@ -353,7 +381,10 @@ func randomInstance(r *xrand.RNG, nSets, universe int) *oct.Instance {
 
 func TestAnalyzeSingleSet(t *testing.T) {
 	inst := &oct.Instance{Universe: 3, Sets: []oct.InputSet{{Items: intset.New(0, 1), Weight: 1}}}
-	res := Analyze(inst, oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.8})
+	res, err := AnalyzeContext(context.Background(), inst, oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.8}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Conflicts2) != 0 || len(res.Conflicts3) != 0 {
 		t.Fatal("single set cannot conflict")
 	}

@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // TestNewResultRoundTrip pins the contract internal/delta depends on:
-// feeding the lists Analyze produced back through NewResult yields a
+// feeding the lists AnalyzeContext produced back through NewResult yields a
 // Result indistinguishable from the original — same exported lists, same
 // membership answers, same rank tables.
 func TestNewResultRoundTrip(t *testing.T) {
@@ -23,7 +24,10 @@ func TestNewResultRoundTrip(t *testing.T) {
 			{Variant: sim.CutoffJaccard, Delta: 0.6},
 			{Variant: sim.CutoffF1, Delta: 0.8},
 		} {
-			orig := Analyze(inst, cfg)
+			orig, err := AnalyzeContext(context.Background(), inst, cfg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			var mustPairs [][2]oct.SetID
 			for a, lst := range orig.MustT {
 				for _, b := range lst {
@@ -61,7 +65,7 @@ func TestNewResultRoundTrip(t *testing.T) {
 }
 
 // TestNewResultNormalizes checks that unsorted, flipped input lists come out
-// in the canonical order Analyze uses.
+// in the canonical order AnalyzeContext uses.
 func TestNewResultNormalizes(t *testing.T) {
 	ranking := []oct.SetID{2, 0, 1, 3}
 	res := NewResult(ranking,

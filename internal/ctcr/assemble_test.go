@@ -1,6 +1,7 @@
 package ctcr
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -25,7 +26,10 @@ func TestConstructParentScanEquivalence(t *testing.T) {
 			{Variant: sim.PerfectRecall, Delta: 0.7},
 			{Variant: sim.CutoffJaccard, Delta: 0.6},
 		} {
-			analysis := conflict.Analyze(inst, cfg)
+			analysis, err := conflict.AnalyzeContext(context.Background(), inst, cfg, conflict.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			admitted := make(map[oct.SetID]bool)
 			for _, q := range analysis.Ranking {
 				want := oct.SetID(-1)
@@ -74,7 +78,7 @@ func TestAssembleMatchesBuild(t *testing.T) {
 			{Variant: sim.Exact},
 			{Variant: sim.PerfectRecall, Delta: 0.8},
 		} {
-			full, err := Build(inst, cfg, DefaultOptions())
+			full, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,9 +51,15 @@ func assembleInstance(nSets, topics int) *oct.Instance {
 func BenchmarkAssemble(b *testing.B) {
 	inst := assembleInstance(400, 100)
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.8}
-	analysis := conflict.Analyze(inst, cfg)
-	solved := mis.Solve(conflict.BuildHypergraph(inst, analysis), mis.DefaultOptions())
 	ctx := context.Background()
+	analysis, err := conflict.AnalyzeContext(ctx, inst, cfg, conflict.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	solved, err := mis.SolveContext(ctx, conflict.BuildHypergraph(inst, analysis), mis.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

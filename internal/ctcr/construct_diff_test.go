@@ -76,8 +76,14 @@ func diffInstance(seed int64, nSets, universe int) *oct.Instance {
 // nestedSkeleton is CTCR's own skeleton: categories nested under their
 // must-together partners, uncontested items already placed.
 func nestedSkeleton(t *testing.T, inst *oct.Instance, cfg oct.Config) skeleton {
-	analysis := conflict.Analyze(inst, cfg)
-	solved := mis.Solve(conflict.BuildHypergraph(inst, analysis), mis.DefaultOptions())
+	analysis, err := conflict.AnalyzeContext(context.Background(), inst, cfg, conflict.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved, err := mis.SolveContext(context.Background(), conflict.BuildHypergraph(inst, analysis), mis.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	selected := make([]oct.SetID, 0, len(solved.Set))
 	for _, v := range solved.Set {
 		selected = append(selected, oct.SetID(v))
@@ -114,7 +120,7 @@ func flatSkeleton(inst *oct.Instance) skeleton {
 // dendrogramSkeleton is CCT's: the average-linkage dendrogram of the sets'
 // embeddings as empty categories, one leaf per set.
 func dendrogramSkeleton(t *testing.T, inst *oct.Instance, cfg oct.Config) skeleton {
-	d, err := cluster.Agglomerative(cluster.NewSparsePoints(cct.Embed(inst, cfg)))
+	d, err := cluster.AgglomerativeContext(context.Background(), cluster.NewSparsePoints(cct.Embed(inst, cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package ctcr_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -51,8 +52,14 @@ func TestConstructMatchesReference(t *testing.T) {
 				cfg := c.cfg
 				cfg.DefaultItemBound = bound
 				label := fmt.Sprintf("%s/%v/admission=%v/bound=%d", name, cfg.Variant, c.admission, bound)
-				analysis := conflict.Analyze(inst, cfg)
-				solved := mis.Solve(conflict.BuildHypergraph(inst, analysis), misOpts)
+				analysis, err := conflict.AnalyzeContext(context.Background(), inst, cfg, conflict.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				solved, err := mis.SolveContext(context.Background(), conflict.BuildHypergraph(inst, analysis), misOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
 				selected := make([]oct.SetID, 0, len(solved.Set))
 				for _, v := range solved.Set {
 					selected = append(selected, oct.SetID(v))

@@ -83,19 +83,13 @@ type Result struct {
 	Conflicts *conflict.Result
 }
 
-// Build runs CTCR over the instance under cfg. Per-stage wall times are
-// recorded as timers, along with workload counters, under the "ctcr.build"
-// prefix of the default obs registry.
-func Build(inst *oct.Instance, cfg oct.Config, opts Options) (*Result, error) {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	return BuildContext(context.Background(), inst, cfg, opts)
-}
-
-// BuildContext is Build with a context: metrics land in the context's obs
-// registry (per-request when the caller attached one via obs.WithRegistry),
-// trace spans nest under the caller's when a trace recorder travels in ctx,
-// and cancellation aborts the pipeline between and inside stages, returning
-// ctx.Err().
+// BuildContext runs CTCR over the instance under cfg. Per-stage wall times
+// are recorded as timers, along with workload counters, under the
+// "ctcr.build" prefix of the context's obs registry (per-request when the
+// caller attached one via obs.WithRegistry, the default registry
+// otherwise); trace spans nest under the caller's when a trace recorder
+// travels in ctx, and cancellation aborts the pipeline between and inside
+// stages, returning ctx.Err().
 func BuildContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts Options) (*Result, error) {
 	// Validate before the span starts: rejected inputs are not builds and
 	// must not leave an unended span (octlint: obsdiscipline).

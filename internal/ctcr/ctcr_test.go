@@ -1,6 +1,7 @@
 package ctcr
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,7 +44,7 @@ func fig2Instance() *oct.Instance {
 func TestExactVariantFig4(t *testing.T) {
 	inst := fig2Instance()
 	cfg := oct.Config{Variant: sim.Exact}
-	res, err := Build(inst, cfg, DefaultOptions())
+	res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func fig5Instance() *oct.Instance {
 func TestPerfectRecallFig5(t *testing.T) {
 	inst := fig5Instance()
 	cfg := oct.Config{Variant: sim.PerfectRecall, Delta: 0.61}
-	res, err := Build(inst, cfg, DefaultOptions())
+	res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestGeneralVariantDuplicates(t *testing.T) {
 		},
 	}
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.6}
-	res, err := Build(inst, cfg, DefaultOptions())
+	res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestIntermediateCategoriesFig6(t *testing.T) {
 		},
 	}
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.6}
-	res, err := Build(inst, cfg, DefaultOptions())
+	res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestItemBoundTwo(t *testing.T) {
 		},
 	}
 	cfg := oct.Config{Variant: sim.PerfectRecall, Delta: 0.95, DefaultItemBound: 2}
-	res, err := Build(inst, cfg, DefaultOptions())
+	res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestItemBoundTwo(t *testing.T) {
 	}
 	// At bound 1 the same δ forces giving up one set.
 	cfg1 := oct.Config{Variant: sim.PerfectRecall, Delta: 0.95}
-	res1, err := Build(inst, cfg1, DefaultOptions())
+	res1, err := BuildContext(context.Background(), inst, cfg1, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestPerSetThresholds(t *testing.T) {
 		{Items: q1, Weight: 1}, {Items: q2, Weight: 1},
 	}}
 	cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.95}
-	res, err := Build(inst, cfg, DefaultOptions())
+	res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestPerSetThresholds(t *testing.T) {
 	}
 	inst.Sets[0].Delta = 0.5
 	inst.Sets[1].Delta = 0.5
-	res, err = Build(inst, cfg, DefaultOptions())
+	res, err = BuildContext(context.Background(), inst, cfg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestAllVariantsOnRandomInstances(t *testing.T) {
 		inst := randomInstance(r, 14, 40)
 		for _, v := range sim.Variants() {
 			cfg := oct.Config{Variant: v, Delta: 0.5 + r.Float64()*0.4}
-			res, err := Build(inst, cfg, DefaultOptions())
+			res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, v, err)
 			}
@@ -347,7 +348,7 @@ func TestExactCoverageIsOptimalSmall(t *testing.T) {
 		r := rng.Split(int64(trial))
 		inst := randomInstance(r, 9, 18)
 		cfg := oct.Config{Variant: sim.Exact}
-		res, err := Build(inst, cfg, DefaultOptions())
+		res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,11 +392,11 @@ func bruteForceExactOptimum(inst *oct.Instance) float64 {
 
 func TestBuildRejectsInvalidInput(t *testing.T) {
 	bad := &oct.Instance{Universe: 2, Sets: []oct.InputSet{{Items: intset.New(5), Weight: 1}}}
-	if _, err := Build(bad, oct.Config{Variant: sim.Exact}, DefaultOptions()); err == nil {
+	if _, err := BuildContext(context.Background(), bad, oct.Config{Variant: sim.Exact}, DefaultOptions()); err == nil {
 		t.Fatal("Build should reject invalid instances")
 	}
 	good := fig2Instance()
-	if _, err := Build(good, oct.Config{Variant: sim.ThresholdJaccard, Delta: 0}, DefaultOptions()); err == nil {
+	if _, err := BuildContext(context.Background(), good, oct.Config{Variant: sim.ThresholdJaccard, Delta: 0}, DefaultOptions()); err == nil {
 		t.Fatal("Build should reject invalid configs")
 	}
 }
@@ -406,7 +407,7 @@ func TestPartitionSolverPath(t *testing.T) {
 	cfg := oct.Config{Variant: sim.PerfectRecall, Delta: 0.61}
 	opts := DefaultOptions()
 	opts.UsePartitionSolver = true
-	res, err := Build(inst, cfg, opts)
+	res, err := BuildContext(context.Background(), inst, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestSingleSetInstance(t *testing.T) {
 	inst := &oct.Instance{Universe: 4, Sets: []oct.InputSet{{Items: intset.New(1, 2), Weight: 5, Label: "only"}}}
 	for _, v := range sim.Variants() {
 		cfg := oct.Config{Variant: v, Delta: 0.8}
-		res, err := Build(inst, cfg, DefaultOptions())
+		res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -444,7 +445,7 @@ func TestSingleSetInstance(t *testing.T) {
 func TestCutoffJaccardReachesT2Optimum(t *testing.T) {
 	inst := fig2Instance()
 	cfg := oct.Config{Variant: sim.CutoffJaccard, Delta: 0.6}
-	res, err := Build(inst, cfg, DefaultOptions())
+	res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,11 +475,11 @@ func TestBuildDeterministic(t *testing.T) {
 	inst := randomInstance(rng, 20, 50)
 	for _, v := range []sim.Variant{sim.ThresholdJaccard, sim.PerfectRecall, sim.Exact} {
 		cfg := oct.Config{Variant: v, Delta: 0.7}
-		a, err := Build(inst, cfg, DefaultOptions())
+		a, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Build(inst, cfg, DefaultOptions())
+		b, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +515,7 @@ func TestRandomBoundsStayValid(t *testing.T) {
 			bounds[i] = 1 + r.Intn(3)
 		}
 		cfg := oct.Config{Variant: sim.ThresholdJaccard, Delta: 0.6, ItemBounds: bounds, DefaultItemBound: 1}
-		res, err := Build(inst, cfg, DefaultOptions())
+		res, err := BuildContext(context.Background(), inst, cfg, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,7 +540,7 @@ func TestAblationOptionsStillValid(t *testing.T) {
 		for mi, mut := range muts {
 			opts := DefaultOptions()
 			mut(&opts)
-			res, err := Build(inst, cfg, opts)
+			res, err := BuildContext(context.Background(), inst, cfg, opts)
 			if err != nil {
 				t.Fatalf("variant %d mut %d: %v", vi, mi, err)
 			}

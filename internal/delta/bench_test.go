@@ -155,7 +155,7 @@ func benchUpdate(b *testing.B, be *benchEngine) {
 
 // BenchmarkDeltaVsRebuild is the rival: apply the same kind of churn batch
 // directly to the input slice, then rebuild the whole catalog from scratch
-// with ctcr.Build. The ratio of the two benchmarks' sec/op is the delta
+// with ctcr.BuildContext. The ratio of the two benchmarks' sec/op is the delta
 // engine's speedup, about 5× (DESIGN §11).
 func BenchmarkDeltaVsRebuild(b *testing.B) {
 	bench50k.init(b, benchSets)

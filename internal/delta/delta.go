@@ -168,14 +168,10 @@ type Engine struct {
 	localIdx []int32
 }
 
-// New builds an Engine seeded with the instance's sets (stable ID = initial
-// index) under cfg. The universe is fixed at inst.Universe: adds must stay
-// within it.
-func New(inst *oct.Instance, cfg oct.Config, opts Options) (*Engine, error) {
-	return NewContext(context.Background(), inst, cfg, opts)
-}
-
-// NewContext is New with a context for the seeding conflict analysis.
+// NewContext builds an Engine seeded with the instance's sets (stable ID =
+// initial index) under cfg; ctx carries the seeding conflict analysis's
+// registry, trace and cancellation. The universe is fixed at inst.Universe:
+// adds must stay within it.
 func NewContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts Options) (*Engine, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, fmt.Errorf("delta: %w", err)
@@ -209,12 +205,6 @@ func NewContext(ctx context.Context, inst *oct.Instance, cfg oct.Config, opts Op
 	}
 	return e, nil
 }
-
-// Config returns the engine's problem configuration.
-func (e *Engine) Config() oct.Config { return e.cfg }
-
-// Universe returns the fixed item universe size.
-func (e *Engine) Universe() int { return e.universe }
 
 // Live reports whether stable ID id names a live set.
 func (e *Engine) Live(id int) bool {

@@ -463,7 +463,7 @@ func (e *Engine) recordConflictEdges(led *ledger.Recorder, inst *oct.Instance, c
 
 // ConflictResult materializes the maintained conflict state as a
 // conflict.Result over the compact live instance — byte-for-byte comparable
-// with conflict.Analyze on Engine.compact()'s instance, which is exactly
+// with conflict.AnalyzeContext on Engine.compact()'s instance, which is exactly
 // what the differential harness does.
 func (e *Engine) ConflictResult() *conflict.Result {
 	_, _, compactOf := e.compact()

@@ -37,7 +37,9 @@ import (
 )
 
 // Options scales the experiments. Scale 1 with DeltaStep 0.01 reproduces
-// paper scale; the defaults keep `go test -bench` CI-friendly.
+// paper scale; octbench's flags default to a CI-scale run (-scale 0.02,
+// -step 0.05, -repeats 5). A zero DeltaStep sweeps δ in steps of 0.1, and
+// zero TrainTestRepeats runs 3 splits.
 type Options struct {
 	// Scale multiplies dataset sizes (1 = paper scale).
 	Scale float64
@@ -47,11 +49,6 @@ type Options struct {
 	TrainTestRepeats int
 	// Seed drives the split randomness.
 	Seed int64
-}
-
-// DefaultOptions returns the CI-scale configuration.
-func DefaultOptions() Options {
-	return Options{Scale: 0.02, DeltaStep: 0.1, TrainTestRepeats: 3, Seed: 1}
 }
 
 // Point is one (δ, value) sample.
@@ -128,10 +125,10 @@ func buildAlgo(ctx context.Context, name string, raw *dataset.Raw, inst *oct.Ins
 		}
 		return res.Tree, nil
 	case "IC-Q":
-		return baseline.BuildICQ(inst)
+		return baseline.BuildICQ(ctx, inst)
 	case "IC-S":
 		vecs := baseline.TitleEmbeddings(raw.Catalog.Titles(), 128)
-		return baseline.BuildICS(inst, vecs)
+		return baseline.BuildICS(ctx, inst, vecs)
 	case "ET":
 		return raw.Existing, nil
 	default:
@@ -764,7 +761,7 @@ func Churn(ctx context.Context, opts Options) (*Result, error) {
 		})
 	}
 	res.Notes = append(res.Notes,
-		"delta med times one Apply+Rebuild cycle (median of 5 batches) on a warm engine; full rebuild is ctcr.Build on the equivalent mutated catalog",
+		"delta med times one Apply+Rebuild cycle (median of 5 batches) on a warm engine; full rebuild is ctcr.BuildContext on the equivalent mutated catalog",
 		"BenchmarkDeltaUpdate / BenchmarkDeltaVsRebuild in internal/delta pin the 0.1% row under the bench gate")
 	return res, nil
 }
@@ -857,12 +854,6 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Run dispatches an experiment by ID.
-func Run(id string, opts Options) (*Result, error) {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	return RunContext(context.Background(), id, opts)
 }
 
 // RunContext dispatches an experiment by ID under ctx: pipeline metrics land

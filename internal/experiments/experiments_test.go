@@ -25,7 +25,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("IDs = %v, want %v", got, want)
 		}
 	}
-	if _, err := Run("bogus", tinyOpts()); err == nil {
+	if _, err := RunContext(context.Background(), "bogus", tinyOpts()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }

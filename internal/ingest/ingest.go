@@ -104,7 +104,8 @@ func Queries(r io.Reader) ([]Query, error) {
 	return out, nil
 }
 
-// Options tunes instance construction.
+// Options tunes instance construction. Zero fields take the public-dataset
+// setup: relevance 0.8, at most 400 results, at least 1.
 type Options struct {
 	// Relevance drops engine hits scoring below it (paper: 0.8 Jaccard/F1
 	// runs, 0.9 Perfect-Recall/Exact).
@@ -113,11 +114,6 @@ type Options struct {
 	MaxResults int
 	// MinResults drops queries whose result sets are smaller (noise).
 	MinResults int
-}
-
-// DefaultOptions mirrors the public-dataset setup.
-func DefaultOptions() Options {
-	return Options{Relevance: 0.8, MaxResults: 400, MinResults: 1}
 }
 
 // BuildInstance evaluates every query over the titles and assembles the OCT

@@ -94,7 +94,7 @@ func TestBuildInstanceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := BuildInstance(titles, qs, DefaultOptions())
+	inst, err := BuildInstance(titles, qs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,10 @@ func TestBuildInstanceEndToEnd(t *testing.T) {
 }
 
 func TestBuildInstanceErrors(t *testing.T) {
-	if _, err := BuildInstance(nil, []Query{{Text: "x", Weight: 1}}, DefaultOptions()); err == nil {
+	if _, err := BuildInstance(nil, []Query{{Text: "x", Weight: 1}}, Options{}); err == nil {
 		t.Fatal("no products accepted")
 	}
-	if _, err := BuildInstance([]string{"shirt"}, []Query{{Text: "zzz", Weight: 1}}, DefaultOptions()); err == nil {
+	if _, err := BuildInstance([]string{"shirt"}, []Query{{Text: "zzz", Weight: 1}}, Options{}); err == nil {
 		t.Fatal("all-empty result sets accepted")
 	}
 }

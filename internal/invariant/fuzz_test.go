@@ -69,9 +69,9 @@ func FuzzCTCRBuild(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		res, err := ctcr.Build(inst, cfg, ctcr.DefaultOptions())
+		res, err := ctcr.BuildContext(context.Background(), inst, cfg, ctcr.DefaultOptions())
 		if err != nil {
-			t.Fatalf("ctcr.Build on valid instance: %v", err)
+			t.Fatalf("ctcr.BuildContext on valid instance: %v", err)
 		}
 		if err := invariant.Check(res.Tree, cfg); err != nil {
 			t.Fatal(err)
@@ -99,9 +99,9 @@ func FuzzCCTBuild(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		res, err := cct.Build(inst, cfg)
+		res, err := cct.BuildContext(context.Background(), inst, cfg)
 		if err != nil {
-			t.Fatalf("cct.Build on valid instance: %v", err)
+			t.Fatalf("cct.BuildContext on valid instance: %v", err)
 		}
 		if err := invariant.Check(res.Tree, cfg); err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func FuzzCCTBuildLarge(f *testing.F) {
 		reg := obs.NewRegistry()
 		res, err := cct.BuildContext(obs.WithRegistry(context.Background(), reg), inst, cfg)
 		if err != nil {
-			t.Fatalf("cct.Build (%d sets) on valid instance: %v", inst.N(), err)
+			t.Fatalf("cct.BuildContext (%d sets) on valid instance: %v", inst.N(), err)
 		}
 		approx := reg.Snapshot().Timers["cluster.approx"].Count
 		if want := inst.N() > cluster.MaxPoints; (approx > 0) != want {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-	"strings"
 )
 
 // This file is the intraprocedural half of the dataflow engine: stable keys
@@ -60,14 +59,6 @@ func TypeKey(t types.Type) string {
 		return obj.Name()
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// typePkgPath returns the declaring package path encoded in a TypeKey.
-func typePkgPath(typeKey string) string {
-	if i := strings.LastIndex(typeKey, "."); i >= 0 {
-		return typeKey[:i]
-	}
-	return ""
 }
 
 // Chain is one decomposed access path: the expression at the base of a

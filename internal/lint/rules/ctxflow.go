@@ -12,12 +12,16 @@ import (
 //   - context.Background() and context.TODO() are banned outside tests (the
 //     request-scoped obs registry and trace recorder travel in the caller's
 //     context; detaching from it silently reroutes metrics to the global
-//     registry). The documented no-context compatibility wrappers carry a
-//     //lint:ignore ctxflow directive.
+//     registry). Each pipeline stage has one entry point, and it takes the
+//     caller's context.
 //   - a function that receives a context.Context must not call the
 //     context-free variant of an API that has a *Context sibling (e.g.
-//     calling Analyze where AnalyzeContext exists drops the caller's
-//     context on the floor).
+//     starting a stage with obs.Span.Child where ChildContext exists drops
+//     the caller's context on the floor).
+//
+// A deliberate exception carries a //lint:ignore ctxflow directive that
+// names its reason; cct's embed span, which has no context-taking callees
+// to nest under, is the one left.
 var CtxFlow = &lint.Analyzer{
 	Name:  "ctxflow",
 	Doc:   "pipeline functions must propagate their context.Context to every callee that accepts one",

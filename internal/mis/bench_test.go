@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"context"
 	"testing"
 
 	"categorytree/internal/xrand"
@@ -35,7 +36,10 @@ func BenchmarkSolveSparse2000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Solve(g, DefaultOptions())
+		res, err := SolveContext(context.Background(), g, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Set) == 0 {
 			b.Fatal("empty solution")
 		}
@@ -111,7 +115,10 @@ func BenchmarkSolveManyComponents(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Solve(g, DefaultOptions())
+		res, err := SolveContext(context.Background(), g, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !res.Optimal {
 			b.Fatal("not solved to optimality")
 		}
@@ -127,7 +134,10 @@ func BenchmarkSolveWideComponents(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Solve(g, DefaultOptions())
+		res, err := SolveContext(context.Background(), g, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !res.Optimal {
 			b.Fatal("not solved to optimality")
 		}
@@ -167,6 +177,6 @@ func BenchmarkSolvePartition(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SolvePartition(g, 4, DefaultOptions())
+		SolvePartitionContext(context.Background(), g, 4, DefaultOptions())
 	}
 }

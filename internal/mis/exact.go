@@ -90,20 +90,14 @@ const (
 // cheap trail operations, so the poll runs once per stride of expansions.
 const cancelCheckStride = 1024
 
-// solveExact finds a maximum weight independent set of g, exploring at most
-// budget search nodes. It returns the best set found and whether it is
-// provably optimal. A warm-start incumbent may be supplied to tighten
-// pruning from the first node.
-func solveExact(g *Hypergraph, budget int64, incumbent []int) ([]int, bool) {
-	set, optimal, _ := solveExactN(g, budget, incumbent, nil)
-	return set, optimal
-}
-
-// solveExactN is solveExact, additionally reporting the number of search
-// nodes expanded (the cost driver the observability layer tracks) and
-// honoring an optional cancellation channel. A triangle-free graph of at
-// most 128 vertices goes to the word-row replay of the search (word.go),
-// every other graph to exactSolver; both return the same result.
+// solveExactN finds a maximum weight independent set of g, exploring at
+// most budget search nodes. It returns the best set found, whether it is
+// provably optimal, and the number of search nodes expanded (the search
+// cost the observability layer tracks). A warm-start incumbent may be
+// supplied to tighten pruning from the first node, and a non-nil done
+// channel cancels the search. A triangle-free graph of at most 128 vertices
+// goes to the word-row replay of the search (word.go), every other graph to
+// exactSolver; both return the same result.
 func solveExactN(g *Hypergraph, budget int64, incumbent []int, done <-chan struct{}) ([]int, bool, int64) {
 	st := newSearchState(g, budget, incumbent, done)
 	if fitsWord(g) {

@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -200,7 +201,7 @@ func TestSolveExactSmallKnown(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	set, optimal := solveExact(g, 1e6, nil)
+	set, optimal, _ := solveExactN(g, 1e6, nil, nil)
 	if !optimal {
 		t.Fatal("tiny instance should be solved optimally")
 	}
@@ -216,7 +217,7 @@ func TestSolveExactTriangleHyperedge(t *testing.T) {
 	// A single 3-edge over 3 unit vertices: can take any 2.
 	g := NewHypergraph(3, nil)
 	g.AddTriangle(0, 1, 2)
-	set, optimal := solveExact(g, 1e6, nil)
+	set, optimal, _ := solveExactN(g, 1e6, nil, nil)
 	if !optimal || len(set) != 2 {
 		t.Fatalf("set = %v optimal=%v, want 2 vertices", set, optimal)
 	}
@@ -228,7 +229,7 @@ func TestSolveExactMatchesBruteForce(t *testing.T) {
 		n := 6 + rng.Intn(9) // 6..14
 		g := randomHypergraph(rng.Split(int64(trial)), n, 0.25, 0.5, trial%2 == 0)
 		want := bruteForce(g)
-		set, optimal := solveExact(g, 1e7, nil)
+		set, optimal, _ := solveExactN(g, 1e7, nil, nil)
 		if !optimal {
 			t.Fatalf("trial %d: budget exhausted on n=%d", trial, n)
 		}
@@ -247,7 +248,10 @@ func TestSolvePipelineMatchesBruteForce(t *testing.T) {
 		n := 8 + rng.Intn(8)
 		g := randomHypergraph(rng.Split(int64(trial)), n, 0.2, 0.4, true)
 		want := bruteForce(g)
-		res := Solve(g, DefaultOptions())
+		res, err := SolveContext(context.Background(), g, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !res.Optimal {
 			t.Fatalf("trial %d: pipeline reported non-optimal on a tiny graph", trial)
 		}
@@ -331,7 +335,10 @@ func TestSolvePartitionIndependentAndDecent(t *testing.T) {
 	rng := xrand.New(37)
 	for trial := 0; trial < 15; trial++ {
 		g := randomHypergraph(rng.Split(int64(trial)), 30, 0.15, 0.6, true)
-		res := SolvePartition(g, 3, DefaultOptions())
+		res, err := SolvePartitionContext(context.Background(), g, 3, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !g.IsIndependent(res.Set) {
 			t.Fatalf("trial %d: partition solution not independent", trial)
 		}
@@ -350,7 +357,7 @@ func bruteForceCapped(g *Hypergraph) float64 {
 	// Meet-in-the-middle is unnecessary; 2^30 is too slow, but tests only
 	// pass n=30 with sparse graphs — use branch and bound as the oracle
 	// with a huge budget instead.
-	set, optimal := solveExact(g, 1e8, nil)
+	set, optimal, _ := solveExactN(g, 1e8, nil, nil)
 	if !optimal {
 		panic("oracle did not converge")
 	}
@@ -373,7 +380,10 @@ func TestSolveLargeSparseStaysOptimalAndFast(t *testing.T) {
 			g.AddEdge(u, v)
 		}
 	}
-	res := Solve(g, DefaultOptions())
+	res, err := SolveContext(context.Background(), g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Optimal {
 		t.Fatal("sparse instance should be solved optimally")
 	}
@@ -394,7 +404,10 @@ func TestSolveLargeSparseStaysOptimalAndFast(t *testing.T) {
 
 func TestSolveHandlesEmptyGraph(t *testing.T) {
 	g := NewHypergraph(0, nil)
-	res := Solve(g, DefaultOptions())
+	res, err := SolveContext(context.Background(), g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Set) != 0 || res.Weight != 0 || !res.Optimal {
 		t.Fatalf("empty graph result: %+v", res)
 	}
@@ -406,7 +419,10 @@ func TestSolveBudgetExhaustionFallsBack(t *testing.T) {
 	// unless kernelization alone cracked it.
 	rng := xrand.New(43)
 	g := randomHypergraph(rng, 60, 0.4, 0, true)
-	res := Solve(g, Options{NodeBudget: 2, MaxExactComponent: 100})
+	res, err := SolveContext(context.Background(), g, Options{NodeBudget: 2, MaxExactComponent: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !g.IsIndependent(res.Set) {
 		t.Fatal("fallback result not independent")
 	}
@@ -422,7 +438,10 @@ func TestSolveMaximality(t *testing.T) {
 	rng := xrand.New(71)
 	for trial := 0; trial < 25; trial++ {
 		g := randomHypergraph(rng.Split(int64(trial)), 50, 0.08, 0.4, true)
-		res := Solve(g, DefaultOptions())
+		res, err := SolveContext(context.Background(), g, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
 		in := make([]bool, g.N())
 		for _, v := range res.Set {
 			in[v] = true
@@ -442,8 +461,14 @@ func TestSolveMaximality(t *testing.T) {
 // TestSolveDeterministic: identical inputs produce identical solutions.
 func TestSolveDeterministic(t *testing.T) {
 	g := randomHypergraph(xrand.New(73), 60, 0.1, 0.5, true)
-	a := Solve(g, DefaultOptions())
-	b := Solve(g, DefaultOptions())
+	a, err := SolveContext(context.Background(), g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := SolveContext(context.Background(), g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a.Set) != len(b.Set) || a.Weight != b.Weight {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
 	}
@@ -464,13 +489,19 @@ func TestSolveHeavyWeightsKeepCertificate(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		n := 12 + rng.Intn(30)
 		g := shapedHypergraph(rng.Split(int64(trial)), n, 2*n, trial%2*n/2, randomWeights(rng, n))
-		want := Solve(g, DefaultOptions())
+		want, err := SolveContext(context.Background(), g, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !want.Optimal {
 			t.Fatalf("trial %d: unscaled solve not optimal", trial)
 		}
 		for _, scale := range []float64{1e16, 1e17} {
 			twin := scaledTwin(g, scale)
-			got := Solve(twin, DefaultOptions())
+			got, err := SolveContext(context.Background(), twin, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !twin.IsIndependent(got.Set) || !got.Optimal {
 				t.Fatalf("trial %d ×%g: set %v independent=%v optimal=%v", trial, scale, got.Set, twin.IsIndependent(got.Set), got.Optimal)
 			}

@@ -8,8 +8,8 @@ import (
 	"categorytree/internal/obs"
 )
 
-// SolvePartition implements a partitioning-based independent-set heuristic
-// in the spirit of Halldórsson and Losievskaja's algorithm for
+// SolvePartitionContext implements a partitioning-based independent-set
+// heuristic in the spirit of Halldórsson and Losievskaja's algorithm for
 // bounded-degree hypergraphs [15], which the paper employs on the conflict
 // hypergraph (Section 3.2).
 //
@@ -23,16 +23,10 @@ import (
 // For a partition into k parts this inherits the classic 1/k-style
 // guarantee: the best part holds at least 1/k of the optimum's weight
 // because the optimum's restriction to some part is itself independent.
-func SolvePartition(g *Hypergraph, parts int, opts Options) Result {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	res, _ := SolvePartitionContext(context.Background(), g, parts, opts)
-	return res
-}
-
-// SolvePartitionContext is SolvePartition with a context: metrics land in
-// the context's obs registry, trace spans nest under the caller's, and
-// cancellation aborts between part solves (and inside each part's
-// branch-and-bound), returning ctx.Err() with a zero Result.
+//
+// Metrics land in the context's obs registry, trace spans nest under the
+// caller's, and cancellation aborts between part solves (and inside each
+// part's branch-and-bound), returning ctx.Err() with a zero Result.
 func SolvePartitionContext(ctx context.Context, g *Hypergraph, parts int, opts Options) (Result, error) {
 	sp, ctx := obs.StartSpanContext(ctx, "mis.solve.partition")
 	defer sp.End()

@@ -10,7 +10,7 @@ import (
 	"categorytree/internal/obs"
 )
 
-// Options tunes the Solve pipeline.
+// Options tunes the SolveContext pipeline.
 type Options struct {
 	// NodeBudget caps branch-and-bound nodes per connected component.
 	// Components that exhaust it fall back to greedy + local search.
@@ -61,20 +61,14 @@ type Result struct {
 	Nodes int64
 }
 
-// Solve computes a maximum(-ish) weight independent set: kernelize with
-// weighted reductions, split into connected components, solve each small
-// component exactly by branch and bound (warm-started by greedy), and fall
-// back to greedy + local search on oversized components.
-func Solve(g *Hypergraph, opts Options) Result {
-	//lint:ignore ctxflow no-context compatibility wrapper
-	res, _ := SolveContext(context.Background(), g, opts)
-	return res
-}
-
-// SolveContext is Solve with a context: metrics land in the context's obs
-// registry, trace spans nest under the caller's, and cancellation aborts the
-// branch-and-bound search between component solves and every
-// cancelCheckStride expanded nodes, returning ctx.Err() with a zero Result.
+// SolveContext computes a maximum(-ish) weight independent set: kernelize
+// with weighted reductions, split into connected components, solve each
+// small component exactly by branch and bound (warm-started by greedy), and
+// fall back to greedy + local search on oversized components. Metrics land
+// in the context's obs registry, trace spans nest under the caller's, and
+// cancellation aborts the branch-and-bound search between component solves
+// and every cancelCheckStride expanded nodes, returning ctx.Err() with a
+// zero Result.
 func SolveContext(ctx context.Context, g *Hypergraph, opts Options) (Result, error) {
 	sp, ctx := obs.StartSpanContext(ctx, "mis.solve")
 	defer sp.End()

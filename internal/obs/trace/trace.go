@@ -3,8 +3,8 @@
 // counts, conflicts found, branch-and-bound nodes, …), and export as Chrome
 // trace_event JSON loadable in chrome://tracing or https://ui.perfetto.dev.
 //
-// A Recorder travels in a context.Context (WithRecorder / StartSpan); code
-// instrumented with StartSpan keeps working unchanged when no recorder is
+// A Recorder travels in a context.Context (WithRecorder / StartSpanAt); code
+// instrumented with StartSpanAt keeps working unchanged when no recorder is
 // attached, because every method is a no-op on a nil *Recorder or *Span.
 // This is what lets the pipeline packages trace unconditionally while only
 // paying the cost on requests that asked for a trace.
@@ -140,17 +140,9 @@ type Span struct {
 	ended bool
 }
 
-// StartSpan begins a root span on its own trace thread.
-func (r *Recorder) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return r.StartSpanAt(name, time.Now())
-}
-
-// StartSpanAt is StartSpan with a caller-supplied start time, so a caller
-// that already read the clock (e.g. the metrics half of an obs span) does
-// not pay a second read.
+// StartSpanAt begins a root span on its own trace thread, starting at the
+// caller-supplied time, so a caller that already read the clock (e.g. the
+// metrics half of an obs span) does not pay a second read.
 func (r *Recorder) StartSpanAt(name string, at time.Time) *Span {
 	if r == nil {
 		return nil
@@ -160,15 +152,8 @@ func (r *Recorder) StartSpanAt(name string, at time.Time) *Span {
 	return sp
 }
 
-// StartChild begins a nested span on the parent's trace thread.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.StartChildAt(name, time.Now())
-}
-
-// StartChildAt is StartChild with a caller-supplied start time.
+// StartChildAt begins a nested span on the parent's trace thread, starting
+// at the caller-supplied time.
 func (s *Span) StartChildAt(name string, at time.Time) *Span {
 	if s == nil {
 		return nil
@@ -217,16 +202,8 @@ func (s *Span) AddAttr(key string, n int64) {
 	s.args = append(s.args, attr{key, n})
 }
 
-// End completes the span and appends its event to the recorder.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.EndAt(time.Now())
-}
-
-// EndAt is End with a caller-supplied completion time. The span completes in
-// place — two plain stores; Events reads the completed spans out of the
+// EndAt completes the span at the caller-supplied time. The span completes
+// in place — two plain stores; Events reads the completed spans out of the
 // arena later.
 //
 //oct:hotpath closes every span on every request
@@ -325,7 +302,7 @@ type recorderKey struct{}
 type spanKey struct{}
 
 // WithRecorder attaches a recorder to the context; pipeline spans started
-// through StartSpan on descendants of this context record into it.
+// through StartSpanAt on descendants of this context record into it.
 func WithRecorder(ctx context.Context, r *Recorder) context.Context {
 	return context.WithValue(ctx, recorderKey{}, r)
 }
@@ -337,7 +314,7 @@ func FromContext(ctx context.Context) *Recorder {
 }
 
 // ContextWithSpan returns a context carrying sp as the current span, so
-// later StartSpan calls nest under it. A nil sp returns ctx unchanged.
+// later StartSpanAt calls nest under it. A nil sp returns ctx unchanged.
 func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
@@ -352,18 +329,12 @@ func SpanFromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// StartSpan begins a span nested under the context's current span (or a new
-// root span on the context's recorder) and returns a context carrying the
-// new span as current. Without a recorder it returns (nil, ctx) — the nil
-// span is safe to use.
-func StartSpan(ctx context.Context, name string) (*Span, context.Context) {
-	return StartSpanAt(ctx, name, time.Now())
-}
-
-// StartSpanAt is StartSpan with a caller-supplied start time. When neither a
-// current span nor a recorder is attached it returns (nil, ctx) without
-// having read the clock itself — callers that already hold a timestamp pass
-// it in and pay no extra reads.
+// StartSpanAt begins a span nested under the context's current span (or a
+// new root span on the context's recorder), starting at the caller-supplied
+// time, and returns a context carrying the new span as current. When
+// neither a current span nor a recorder is attached it returns (nil, ctx) —
+// the nil span is safe to use — without having read the clock itself:
+// callers that already hold a timestamp pass it in and pay no extra reads.
 func StartSpanAt(ctx context.Context, name string, at time.Time) (*Span, context.Context) {
 	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
 		sp := parent.StartChildAt(name, at)

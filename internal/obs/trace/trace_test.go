@@ -12,14 +12,14 @@ import (
 
 func TestSpansNestWithinParents(t *testing.T) {
 	rec := New()
-	root := rec.StartSpan("ctcr.build")
-	child := root.StartChild("conflict.analyze")
+	root := rec.StartSpanAt("ctcr.build", time.Now())
+	child := root.StartChildAt("conflict.analyze", time.Now())
 	child.SetAttr("sets", 12)
-	grand := child.StartChild("conflict.analyze/triples")
+	grand := child.StartChildAt("conflict.analyze/triples", time.Now())
 	time.Sleep(time.Millisecond)
-	grand.End()
-	child.End()
-	root.End()
+	grand.EndAt(time.Now())
+	child.EndAt(time.Now())
+	root.EndAt(time.Now())
 
 	evs := rec.Events()
 	if len(evs) != 3 {
@@ -52,10 +52,10 @@ func TestSpansNestWithinParents(t *testing.T) {
 
 func TestRootSpansGetDistinctThreads(t *testing.T) {
 	rec := New()
-	a := rec.StartSpan("build.a")
-	b := rec.StartSpan("build.b")
-	a.End()
-	b.End()
+	a := rec.StartSpanAt("build.a", time.Now())
+	b := rec.StartSpanAt("build.b", time.Now())
+	a.EndAt(time.Now())
+	b.EndAt(time.Now())
 	evs := rec.Events()
 	if evs[0].TID == evs[1].TID {
 		t.Fatalf("concurrent roots share tid %d", evs[0].TID)
@@ -64,8 +64,8 @@ func TestRootSpansGetDistinctThreads(t *testing.T) {
 
 func TestWriteJSONIsLoadableTraceFile(t *testing.T) {
 	rec := New()
-	sp := rec.StartSpan("stage")
-	sp.End()
+	sp := rec.StartSpanAt("stage", time.Now())
+	sp.EndAt(time.Now())
 	var buf bytes.Buffer
 	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -96,14 +96,14 @@ func TestWriteJSONIsLoadableTraceFile(t *testing.T) {
 
 func TestNilRecorderAndSpanAreInert(t *testing.T) {
 	var rec *Recorder
-	sp := rec.StartSpan("x")
+	sp := rec.StartSpanAt("x", time.Now())
 	if sp != nil {
 		t.Fatal("nil recorder produced a span")
 	}
 	sp.SetAttr("k", 1) // must not panic
-	child := sp.StartChild("y")
-	child.End()
-	sp.End()
+	child := sp.StartChildAt("y", time.Now())
+	child.EndAt(time.Now())
+	sp.EndAt(time.Now())
 	if evs := rec.Events(); evs != nil {
 		t.Fatalf("nil recorder has events: %v", evs)
 	}
@@ -119,10 +119,10 @@ func TestContextPropagation(t *testing.T) {
 		t.Fatal("empty context yielded a recorder")
 	}
 
-	root, ctx2 := StartSpan(ctx, "outer")
-	inner, _ := StartSpan(ctx2, "inner")
-	inner.End()
-	root.End()
+	root, ctx2 := StartSpanAt(ctx, "outer", time.Now())
+	inner, _ := StartSpanAt(ctx2, "inner", time.Now())
+	inner.EndAt(time.Now())
+	root.EndAt(time.Now())
 	evs := rec.Events()
 	if len(evs) != 2 || evs[0].Name != "outer" || evs[1].Name != "inner" {
 		t.Fatalf("events = %+v", evs)
@@ -132,9 +132,9 @@ func TestContextPropagation(t *testing.T) {
 	}
 
 	// No recorder: nil span, unchanged context.
-	sp, same := StartSpan(context.Background(), "z")
+	sp, same := StartSpanAt(context.Background(), "z", time.Now())
 	if sp != nil || same != context.Background() {
-		t.Fatal("recorderless StartSpan not inert")
+		t.Fatal("recorderless StartSpanAt not inert")
 	}
 }
 
@@ -146,10 +146,10 @@ func TestConcurrentSpansAreSafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				sp := rec.StartSpan("worker")
+				sp := rec.StartSpanAt("worker", time.Now())
 				sp.SetAttr("j", j)
-				sp.StartChild("sub").End()
-				sp.End()
+				sp.StartChildAt("sub", time.Now()).EndAt(time.Now())
+				sp.EndAt(time.Now())
 			}
 		}()
 	}

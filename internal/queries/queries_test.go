@@ -72,8 +72,8 @@ func TestQueriesUseCatalogVocabulary(t *testing.T) {
 	log := Generate(c, xrand.New(5), 200)
 	// Normal queries end with a product type.
 	types := map[string]bool{}
-	for _, v := range c.Values("type") {
-		types[v] = true
+	for _, p := range c.Products {
+		types[p.Attrs["type"]] = true
 	}
 	for _, q := range log {
 		if q.Kind != "normal" {

@@ -50,10 +50,6 @@ type Snapshot struct {
 // without a ledger).
 func (s *Snapshot) Explain() *ledger.Index { return s.explain }
 
-// Cache returns the snapshot's response cache (nil when caching is
-// disabled).
-func (s *Snapshot) Cache() *readCache { return s.cache }
-
 // Publisher owns the current-snapshot pointer. Builds construct trees off
 // to the side and call Publish; readers call Current on every request. The
 // zero value is not usable; construct with NewPublisher.

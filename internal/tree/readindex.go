@@ -93,25 +93,17 @@ func BuildReadIndex(t *Tree) *ReadIndex {
 	return ix
 }
 
-// Tree returns the tree the index was built from.
-func (ix *ReadIndex) Tree() *Tree { return ix.t }
-
-// BestCover returns the category with maximum similarity to q under
-// (v, delta) with the same tie-breaking as Tree.BestCover (ties prefer the
-// deeper category, then the earlier one in preorder), visiting only
+// BestCoverCandidates returns the category with maximum similarity to q
+// under (v, delta) with the same tie-breaking as Tree.BestCover (ties prefer
+// the deeper category, then the earlier one in preorder), visiting only
 // categories that share an item with q. Results are identical to
 // Tree.BestCover for every input; the randomized differential test in
 // readindex_test.go pins the equivalence.
-func (ix *ReadIndex) BestCover(v sim.Variant, q intset.Set, delta float64) (*Node, float64) {
-	n, score, _ := ix.BestCoverCandidates(v, q, delta)
-	return n, score
-}
-
-// BestCoverCandidates is BestCover plus the number of candidate categories
-// actually scored — the per-request work metric the flight recorder stamps
-// onto its wide events (a slow query with thousands of candidates and a slow
-// query with three are different bugs). The exhaustive fallback reports the
-// full node count.
+//
+// It also returns the number of candidate categories actually scored — the
+// per-request work metric the flight recorder stamps onto its wide events (a
+// slow query with thousands of candidates and a slow query with three are
+// different bugs). The exhaustive fallback reports the full node count.
 //
 //oct:hotpath per-request categorization; steady state must not allocate
 func (ix *ReadIndex) BestCoverCandidates(v sim.Variant, q intset.Set, delta float64) (*Node, float64, int) {

@@ -66,7 +66,7 @@ func TestReadIndexMatchesBestCover(t *testing.T) {
 				for qi := 0; qi < 8; qi++ {
 					q := randomQuery(rng, universe)
 					wantN, wantS := tr.BestCover(v, q, delta)
-					gotN, gotS := ix.BestCover(v, q, delta)
+					gotN, gotS, _ := ix.BestCoverCandidates(v, q, delta)
 					if gotN != wantN || gotS != wantS {
 						t.Fatalf("trial %d %s δ=%.2f q=%v:\nindex (%v, %v)\nscan  (%v, %v)",
 							trial, v, delta, q, nodeID(gotN), gotS, nodeID(wantN), wantS)
@@ -84,7 +84,7 @@ func TestReadIndexEmptyQuery(t *testing.T) {
 	ix := BuildReadIndex(tr)
 	for _, v := range sim.Variants() {
 		wantN, wantS := tr.BestCover(v, nil, 0.5)
-		gotN, gotS := ix.BestCover(v, nil, 0.5)
+		gotN, gotS, _ := ix.BestCoverCandidates(v, nil, 0.5)
 		if gotN != wantN || gotS != wantS {
 			t.Fatalf("%s empty query: index (%v, %v), scan (%v, %v)",
 				v, nodeID(gotN), gotS, nodeID(wantN), wantS)
@@ -108,7 +108,7 @@ func TestReadIndexPostings(t *testing.T) {
 	// A query outside the postings range must not panic and must match.
 	q := intset.New(100, 101)
 	wantN, wantS := tr.BestCover(sim.ThresholdJaccard, q, 0.5)
-	gotN, gotS := ix.BestCover(sim.ThresholdJaccard, q, 0.5)
+	gotN, gotS, _ := ix.BestCoverCandidates(sim.ThresholdJaccard, q, 0.5)
 	if gotN != wantN || gotS != wantS {
 		t.Fatalf("out-of-range query: index (%v, %v), scan (%v, %v)",
 			nodeID(gotN), gotS, nodeID(wantN), wantS)
@@ -175,7 +175,7 @@ func BenchmarkReadIndexBestCover(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.BestCover(sim.CutoffJaccard, queries[i%len(queries)], 0.1)
+		ix.BestCoverCandidates(sim.CutoffJaccard, queries[i%len(queries)], 0.1)
 	}
 }
 
